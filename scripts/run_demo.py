@@ -25,10 +25,11 @@ def main():
     results, means = run_all_encodings(range(args.seeds), cfg)
     with open(args.output, "w") as f:
         f.write(metrics_to_csv(results, means))
-    for r in results:
-        print(f"{r.encoding:<5} seed={r.seed} train={r.train_accuracy:.3f} "
-              f"val={r.val_accuracy:.3f} test={r.test_accuracy:.3f} "
-              f"best_epoch={r.best_epoch}")
+    for enc, runs in results.items():
+        for r in runs:
+            print(f"{enc:<5} seed={r.seed} train={r.train_accuracy:.3f} "
+                  f"val={r.val_accuracy:.3f} test={r.test_accuracy:.3f} "
+                  f"best_epoch={r.best_epoch}")
     print(f"means: none={means['none']:.4f} spd={means['spd']:.4f} "
           f"hdse={means['hdse']:.4f}  ({time.time() - start:.1f}s)")
     print(f"metrics written to {args.output}")

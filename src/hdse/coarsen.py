@@ -252,9 +252,6 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
             q = modularity(g, part)
             if q > best_q + 1e-12:
                 best, best_q = part, q
-    if target is not None and best.num_clusters < target:
-        # only possible when ties split past the target in one batch
-        return best
     return best
 
 

@@ -1,21 +1,25 @@
 """Shortest-path and hierarchy distances, clipped distance tensors.
 
-Distances are unweighted hop counts (BFS). Unreachable pairs carry a
-dedicated sentinel that survives clipping: in the integer tensor encoding an
-unreachable pair is stored as ``clip + 1``, distinct from a pair whose true
-distance saturates at ``clip``.
+Distances are unweighted hop counts. All-pairs distances come from one
+multi-source breadth-first search that advances every source together: each
+node holds a bitset with one bit per source, and one hop ORs the bitsets of
+its neighbours over the CSR adjacency. Every hierarchy encoding below is
+built from these per-level distances.
+
+Unreachable pairs carry a dedicated sentinel that survives clipping: in the
+integer tensor encoding an unreachable pair is stored as ``clip + 1``,
+distinct from a pair whose true distance saturates at ``clip``.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coarsen import Hierarchy, composed_projection
+from .coarsen import Hierarchy
 from .graph import Graph, GraphValidationError
 
 UNREACHABLE = -1  # sentinel in raw DistanceMatrix values
@@ -30,20 +34,44 @@ class DistanceMatrix:
 
 
 def spd_all_pairs(g: Graph) -> DistanceMatrix:
-    """Exact all-pairs hop distances via BFS from every node."""
+    """Exact all-pairs hop distances by a bit-packed multi-source BFS.
+
+    ``reached[v]`` and ``frontier[v]`` are bitsets over sources, packed into
+    ``ceil(n / 64)`` uint64 words: bit s of ``frontier[v]`` is set when v lies
+    at the current hop distance from s. One hop ORs the frontier rows of each
+    node's neighbours (``reduceat`` over CSR segments, restricted to nodes of
+    nonzero degree because ``reduceat`` returns the element at an empty
+    segment's start instead of an identity); bits not yet reached are the
+    nodes at the next distance. The graph is undirected, so the new-bit mask
+    of node v and source s is written directly as row s, column v of the
+    symmetric result.
+
+    Working memory besides the n x n int32 output: n x n/8-byte bitsets
+    (``reached``, ``frontier`` and a few per-hop temporaries), the gathered
+    neighbour frontiers (2m x n/8 bytes for m edges) and one n x n bool mask
+    per hop.
+    """
     n = g.num_nodes
     out = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    for s in range(n):
-        row = out[s]
-        row[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            dv = row[v]
-            for u in g.neighbors(v):
-                if row[u] < 0:
-                    row[u] = dv + 1
-                    q.append(u)
+    np.fill_diagonal(out, 0)
+    src = np.arange(n)
+    reached = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    reached[src, src >> 6] = 1 << (src & 63).astype(np.uint64)
+    frontier = reached.copy()
+    has_nbrs = np.diff(g.indptr) > 0
+    starts = g.indptr[:-1][has_nbrs]
+    for d in range(1, n):
+        nxt = np.zeros_like(frontier)
+        nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts,
+                                               axis=0)
+        frontier = nxt & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+        # bit s of word w is source 64 w + s once the words are little-endian
+        new = np.unpackbits(frontier.astype("<u8", copy=False).view(np.uint8),
+                            axis=1, count=n, bitorder="little")
+        out[new.view(bool)] = d
     return DistanceMatrix(out, level=0)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdse.coarsen import Partition, build_hierarchy, permute_hierarchy
 from hdse.distance import (UNREACHABLE, ghd, hdse, high_level_hdse,
@@ -48,6 +50,67 @@ class TestSpd:
         g = random_graph(50, 0.1, 7)
         np.testing.assert_array_equal(spd_all_pairs(g).values,
                                       floyd_warshall(g))
+
+
+def assert_spd_exact(g):
+    d = spd_all_pairs(g)
+    assert d.values.dtype == np.int32
+    assert d.level == 0
+    np.testing.assert_array_equal(d.values, floyd_warshall(g))
+
+
+def path_edges(n):
+    return [(i, i + 1) for i in range(n - 1)]
+
+
+class TestSpdKernelOracle:
+    """The bit-packed multi-source BFS against Floyd-Warshall, with sizes on
+    both sides of a 64-bit word and nodes of degree zero, which ``reduceat``
+    over CSR segments would mishandle."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129])
+    def test_word_boundary_sizes(self, n):
+        assert_spd_exact(make_graph(n, []))
+        assert_spd_exact(make_graph(n, path_edges(n)))
+        assert_spd_exact(random_graph(n, 0.05, n))
+
+    @pytest.mark.parametrize("n", [2, 64, 65, 129])
+    def test_isolated_first_and_last_node(self, n):
+        inner = [(u + 1, v + 1) for u, v in path_edges(n - 2)]
+        assert_spd_exact(make_graph(n, inner))  # both ends isolated
+        assert_spd_exact(make_graph(n, path_edges(n - 1)))  # last isolated
+        assert_spd_exact(make_graph(n, [(u + 1, v + 1)  # first isolated
+                                        for u, v in path_edges(n - 1)]))
+
+    def test_isolated_nodes_between_components(self):
+        edges = [(1, 2), (2, 3), (5, 6), (66, 67), (67, 68), (68, 66)]
+        assert_spd_exact(make_graph(70, edges))
+
+    def test_several_components(self):
+        comp = np.digitize(np.arange(130), [40, 90])
+        g = make_graph(130, [(u, v) for u, v in random_graph(130, 0.2, 3)
+                             .edge_array() if comp[u] == comp[v]])
+        assert_spd_exact(g)
+        assert spd_all_pairs(g).values[0, 100] == UNREACHABLE
+
+    def test_complete_graph(self):
+        n = 70
+        g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        assert_spd_exact(g)
+        assert spd_all_pairs(g).values.max() == 1
+
+    def test_path_longer_than_a_word(self):
+        g = make_graph(130, path_edges(130))
+        assert_spd_exact(g)
+        assert spd_all_pairs(g).values[0, 129] == 129
+
+    @given(st.integers(0, 140),
+           st.lists(st.tuples(st.integers(0, 139), st.integers(0, 139)),
+                    max_size=300))
+    @settings(max_examples=60, deadline=None)
+    def test_random_edge_lists(self, n, pairs):
+        edges = [(u, v) for u, v in pairs if u < n and v < n and u != v]
+        assert_spd_exact(make_graph(n, edges))
 
 
 class TestGhd:
