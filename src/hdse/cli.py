@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -116,11 +115,12 @@ def cmd_gdwl(args) -> int:
     payload = json.dumps(verdict, sort_keys=True) + "\n"
     _write_output(payload, args.output)
     if distinguished and args.enc == "hdse":
-        # report stability of the verdict across coarsening seeds
-        stable = sum(
+        # report stability of the verdict across coarsening seeds; the
+        # verdict under args.seed is the one just computed
+        stable = 1 + sum(
             refine.distinguishes(g1, g2, refine.HdseEncoding(
                 levels=args.levels, algo=args.algo, clip=args.clip, seed=s))
-            for s in range(args.seed, args.seed + 3))
+            for s in range(args.seed + 1, args.seed + 3))
         print(f"distinguished under {stable}/3 coarsening seeds",
               file=sys.stderr)
     return EXIT_OK if distinguished else EXIT_NEGATIVE
@@ -152,9 +152,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdse",
         description="Hierarchy distance encodings over coarsened graphs")
-    parser.add_argument("--threads", type=int,
-                        default=int(os.environ.get("HDSE_THREADS", "1")),
-                        help="worker cap (current algorithms are single-threaded)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("coarsen", help="build and save a coarsening hierarchy")

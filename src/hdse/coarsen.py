@@ -380,7 +380,8 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
     """Apply a coarsening algorithm ``levels`` times.
 
     Once a level collapses to a single node, the remaining levels repeat that
-    trivial level so the hierarchy always has ``levels + 1`` graphs.
+    trivial level so the hierarchy always has ``levels + 1`` graphs. An empty
+    graph gives ``levels + 1`` empty levels, each with ratio 1.0.
     """
     if levels < 0:
         raise GraphValidationError("level count must be >= 0")
@@ -394,14 +395,16 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
     proj_feats = [g.features] if g.features is not None else None
     for _ in range(levels):
         cur = graphs[-1]
-        if cur.num_nodes == 1:
-            part = Partition(np.zeros(1, dtype=np.int64), 1)
+        if cur.num_nodes <= 1:
+            part = Partition(np.zeros(cur.num_nodes, dtype=np.int64),
+                             cur.num_nodes)
         else:
             part = coarsen_once(cur, algo, ratio, seed)
         maps.append(part)
         proj = ProjectionMatrix.from_partition(part)
         projections.append(proj)
-        ratios.append(part.num_clusters / cur.num_nodes)
+        ratios.append(part.num_clusters / cur.num_nodes if cur.num_nodes
+                      else 1.0)
         intra.append(intra_cluster_edge_count(cur, part))
         graphs.append(build_coarse_graph(cur, part))
         if proj_feats is not None:

@@ -13,7 +13,6 @@ attention module and is checked against it in the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -285,11 +284,6 @@ def run_all_encodings(seeds, cfg: DemoConfig | None = None):
     means = {enc: float(np.mean([r.test_accuracy for r in rs]))
              for enc, rs in results.items()}
     return results, means
-
-
-def checkpoint_to_json(model: _BatchedModel) -> str:
-    return json.dumps({k: v.tolist() for k, v in model.snapshot().items()},
-                      sort_keys=True)
 
 
 def metrics_to_csv(results: dict[str, list[DemoResult]],

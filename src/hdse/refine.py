@@ -1,10 +1,15 @@
 """Distance-based color refinement (isomorphism testing) and named graphs.
 
-Each iteration recolors a node with the hash of the multiset of
-(distance-to-u, color-of-u) pairs over all nodes u. The distance can be the
-plain shortest-path distance or the full per-pair hierarchy distance vector.
-Color ids are interned in a dictionary shared across the two graphs of a
-comparison, so histograms are directly comparable.
+Each iteration recolors a node by the multiset of (distance-to-u,
+color-of-u) pairs over all nodes u. The distance can be the plain
+shortest-path distance or the full per-pair hierarchy distance vector.
+
+One loop refines one graph or a pair in lockstep. Colors are dense ids,
+renumbered every iteration jointly over the graphs refined together: within
+one iteration, equal ids mean equal colors across a pair, so histograms are
+directly comparable; ids of different iterations are unrelated. Ids come
+from sorting and comparing rows, never from hashing, so two different
+colors can never merge.
 """
 
 from __future__ import annotations
@@ -38,10 +43,9 @@ Encoding = SpdEncoding | HdseEncoding
 
 
 def _distance_keys(g: Graph, enc: Encoding) -> np.ndarray:
-    """Per-pair hashable distance keys as an (n, n) object-free int array.
+    """Per-pair distance keys as an (n, n, L) int array.
 
-    SPD yields an (n, n) int matrix; HDSE yields (n, n, levels+1). Both are
-    consumed row-wise as tuples.
+    SPD gives L = 1; HDSE gives L = levels + 1, one hop distance per level.
     """
     if isinstance(enc, SpdEncoding):
         return spd_all_pairs(g).values[:, :, None]
@@ -60,60 +64,82 @@ class ColorMap:
     def final(self) -> np.ndarray:
         return self.colors[-1]
 
+    def append(self, colors: np.ndarray) -> None:
+        self.colors.append(colors)
+        self.history.append(len(np.unique(colors)))
+
     def histogram(self) -> Counter:
         return Counter(self.final.tolist())
 
 
-class _Interner:
-    """Injective multiset -> color-id map shared across a graph pair."""
-
-    def __init__(self):
-        self.table: dict = {}
-
-    def get(self, key) -> int:
-        if key not in self.table:
-            self.table[key] = len(self.table)
-        return self.table[key]
+# Pair ids are re-densified once their bound passes this, so that
+# pair * base + color stays far inside int64 (base is the color count).
+_ID_LIMIT = 2 ** 32
 
 
-def _initial_colors(g: Graph, interner: _Interner) -> np.ndarray:
-    if g.features is not None:
-        return np.array([interner.get(("feat", tuple(row)))
-                         for row in g.features])
-    return np.array([interner.get(("feat", ())) for _ in range(g.num_nodes)])
+def _dense_rows(blocks: list[np.ndarray]) -> list[np.ndarray]:
+    """Dense ids of the rows of 2-D arrays, jointly: equal rows share an id.
+
+    Rows of different widths never share an id: every row is zero-padded to
+    the widest block and led by its own width. Ids come from a lexicographic
+    sort and a comparison of adjacent rows, so they are exact.
+    """
+    width = max(b.shape[1] for b in blocks)
+    rows = np.zeros((sum(len(b) for b in blocks), width + 1),
+                    dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        rows[start:start + len(b), 0] = b.shape[1]
+        rows[start:start + len(b), 1:b.shape[1] + 1] = b
+        start += len(b)
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return np.split(ids, np.cumsum([len(b) for b in blocks])[:-1])
 
 
-def _refine_step(keys: np.ndarray, colors: np.ndarray,
-                 interner: _Interner) -> np.ndarray:
-    n = len(colors)
-    new = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        multiset = tuple(sorted(
-            (tuple(keys[v, u].tolist()), int(colors[u])) for u in range(n)))
-        new[v] = interner.get(multiset)
-    return new
+def _pair_ids(keys: list[np.ndarray]) -> list[np.ndarray]:
+    """(n, n) id per node pair, jointly: equal distance keys share an id.
+
+    Key columns are folded into one int64 in turn, and the running id is
+    re-densified with ``np.unique`` whenever its bound passes ``_ID_LIMIT``.
+    No product can overflow for any level count <= 255 or any n.
+    """
+    flat = np.concatenate([k.reshape(-1, k.shape[-1]) for k in keys])
+    ids = np.zeros(len(flat), dtype=np.int64)
+    bound = 1  # ids < bound
+    for col in flat.T.astype(np.int64):
+        lo = col.min(initial=0)
+        span = int(col.max(initial=0) - lo) + 1
+        ids = ids * span + (col - lo)
+        bound *= span
+        if bound > _ID_LIMIT:
+            uniq, ids = np.unique(ids, return_inverse=True)
+            bound = len(uniq)
+    sizes = [len(k) for k in keys]
+    parts = np.split(ids, np.cumsum([n * n for n in sizes])[:-1])
+    return [part.reshape(n, n) for part, n in zip(parts, sizes)]
 
 
-def gd_wl_refine(g: Graph, enc: Encoding, max_iter: int | None = None) -> ColorMap:
-    """Refine node colors until the partition stabilizes (or max_iter)."""
-    if max_iter is None:
-        max_iter = max(1, g.num_nodes)
-    if max_iter < 1:
-        raise GraphValidationError("max_iter must be >= 1")
-    interner = _Interner()
-    keys = _distance_keys(g, enc)
-    cm = ColorMap()
-    colors = _initial_colors(g, interner)
-    cm.colors.append(colors)
-    cm.history.append(len(np.unique(colors)))
-    for _ in range(max_iter):
-        new = _refine_step(keys, colors, interner)
-        cm.colors.append(new)
-        cm.history.append(len(np.unique(new)))
-        if _same_partition(colors, new):
-            break
-        colors = new
-    return cm
+def _initial_colors(graphs: list[Graph]) -> list[np.ndarray]:
+    """Dense ids of the feature rows; a featureless graph has empty rows."""
+    return _dense_rows([g.features if g.features is not None
+                        else np.empty((g.num_nodes, 0)) for g in graphs])
+
+
+def _refine_step(pairs: list[np.ndarray],
+                 colors: list[np.ndarray]) -> list[np.ndarray]:
+    """Recolor v by its multiset of (pair id of (v, u), color of u).
+
+    ``pair * base + color`` with base above every color is one exact int64
+    per (pair, color); a node's multiset is its row of those, sorted.
+    """
+    base = 1 + max(int(c.max(initial=-1)) for c in colors)
+    return _dense_rows([np.sort(p * base + c, axis=1)
+                        for p, c in zip(pairs, colors)])
 
 
 def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
@@ -128,30 +154,39 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
     return len(set(seen.values())) == len(seen)
 
 
+def _refine(graphs: list[Graph], enc: Encoding,
+            max_iter: int) -> list[ColorMap]:
+    """Refine graphs in lockstep until every partition is stable."""
+    pairs = _pair_ids([_distance_keys(g, enc) for g in graphs])
+    colors = _initial_colors(graphs)
+    cms = [ColorMap() for _ in graphs]
+    for cm, c in zip(cms, colors):
+        cm.append(c)
+    for _ in range(max_iter):
+        new = _refine_step(pairs, colors)
+        for cm, c in zip(cms, new):
+            cm.append(c)
+        if all(map(_same_partition, colors, new)):
+            break
+        colors = new
+    return cms
+
+
+def gd_wl_refine(g: Graph, enc: Encoding, max_iter: int | None = None) -> ColorMap:
+    """Refine node colors until the partition stabilizes (or max_iter)."""
+    if max_iter is None:
+        max_iter = max(1, g.num_nodes)
+    if max_iter < 1:
+        raise GraphValidationError("max_iter must be >= 1")
+    return _refine([g], enc, max_iter)[0]
+
+
 def refine_pair(g1: Graph, g2: Graph, enc: Encoding,
                 max_iter: int | None = None) -> tuple[ColorMap, ColorMap]:
-    """Refine two graphs in lockstep through one shared color namespace."""
+    """Refine two graphs in lockstep; colors are comparable across the pair."""
     if max_iter is None:
         max_iter = max(1, g1.num_nodes, g2.num_nodes)
-    interner = _Interner()
-    keys1 = _distance_keys(g1, enc)
-    keys2 = _distance_keys(g2, enc)
-    cm1, cm2 = ColorMap(), ColorMap()
-    c1 = _initial_colors(g1, interner)
-    c2 = _initial_colors(g2, interner)
-    for cm, c in ((cm1, c1), (cm2, c2)):
-        cm.colors.append(c)
-        cm.history.append(len(np.unique(c)))
-    for _ in range(max_iter):
-        n1 = _refine_step(keys1, c1, interner)
-        n2 = _refine_step(keys2, c2, interner)
-        cm1.colors.append(n1)
-        cm1.history.append(len(np.unique(n1)))
-        cm2.colors.append(n2)
-        cm2.history.append(len(np.unique(n2)))
-        if _same_partition(c1, n1) and _same_partition(c2, n2):
-            break
-        c1, c2 = n1, n2
+    cm1, cm2 = _refine([g1, g2], enc, max_iter)
     return cm1, cm2
 
 

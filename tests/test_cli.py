@@ -7,7 +7,7 @@ from hdse.cli import main
 from hdse.coarsen import girvan_newman, hierarchy_from_json
 from hdse.distance import read_tensor
 from hdse.graph import load_edge_list
-from hdse.refine import dodecahedron_graph
+from hdse.refine import desargues_graph, dodecahedron_graph
 
 
 @pytest.fixture
@@ -23,6 +23,16 @@ def dodeca_file(tmp_path):
     rc = main(["named-graph", "dodecahedron", "-o", str(f)])
     assert rc == 0
     return str(f)
+
+
+class TestGlobalOptions:
+    def test_threads_option_is_gone(self, monkeypatch, tmp_path):
+        # HDSE_THREADS is not read: a non-integer value changes nothing
+        monkeypatch.setenv("HDSE_THREADS", "many")
+        f = tmp_path / "c.txt"
+        assert main(["named-graph", "cycle(5)", "-o", str(f)]) == 0
+        with pytest.raises(SystemExit):
+            main(["--threads", "2", "named-graph", "cycle(5)"])
 
 
 class TestNamedGraph:
@@ -123,6 +133,48 @@ class TestGdwl:
         verdict = json.loads(out.read_text())
         assert verdict["distinguished"] is True
         assert verdict["histogram_g1"] != verdict["histogram_g2"]
+
+    def test_empty_graphs_hdse_verdict_equals_spd(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        payloads = []
+        for enc_args in (["--enc", "spd"], ["--enc", "hdse"],
+                         ["--enc", "hdse", "--algo", "louvain", "-K", "2"],
+                         ["--enc", "hdse", "--algo", "hem", "-K", "2"]):
+            capsys.readouterr()
+            assert main(["gdwl", str(empty), str(empty), *enc_args]) == 1
+            out, err = capsys.readouterr()
+            assert "Traceback" not in err
+            payloads.append(out)
+        assert json.loads(payloads[0]) == {
+            "distinguished": False, "iterations": 1,
+            "histogram_g1": [], "histogram_g2": []}
+        assert payloads[1:] == payloads[:1] * 3
+
+    def test_stability_report_reuses_the_main_verdict(self, tmp_path,
+                                                      dodeca_file, capsys,
+                                                      monkeypatch):
+        from hdse import refine
+        des = tmp_path / "des.txt"
+        assert main(["named-graph", "desargues", "-o", str(des)]) == 0
+        calls = []
+        original = refine.refine_pair
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(refine, "refine_pair", counting)
+        capsys.readouterr()
+        assert main(["gdwl", dodeca_file, str(des), "--enc", "hdse",
+                     "--algo", "newman"]) == 0
+        assert [enc.seed for enc in calls] == [0, 1, 2]
+        stable = 1 + sum(
+            refine.distinguishes(dodecahedron_graph(), desargues_graph(),
+                                 refine.HdseEncoding(seed=s))
+            for s in (1, 2))
+        assert (f"distinguished under {stable}/3 coarsening seeds"
+                in capsys.readouterr().err)
 
     def test_graph_vs_its_permutation(self, tmp_path, dodeca_file):
         from hdse.graph import NodePermutation, permute, write_edge_list

@@ -237,6 +237,16 @@ class TestHierarchy:
             expected)
 
 
+    @pytest.mark.parametrize("algo", ["louvain", "newman", "hem"])
+    def test_empty_graph_gives_empty_levels(self, algo):
+        h = build_hierarchy(make_graph(0, []), algo, 2)
+        assert [lvl.num_nodes for lvl in h.levels] == [0, 0, 0]
+        assert [p.num_clusters for p in h.maps] == [0, 0]
+        assert h.coarsening_ratios == [1.0, 1.0]
+        back = hierarchy_from_json(hierarchy_to_json(h))
+        assert [lvl.num_nodes for lvl in back.levels] == [0, 0, 0]
+
+
 class TestComposedProjection:
     def make_three_level(self):
         g = make_graph(8, [(i, i + 1) for i in range(7)])

@@ -1,6 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from hdse import refine
+from hdse.coarsen import build_hierarchy
+from hdse.distance import hdse, spd_all_pairs
 from hdse.graph import GraphValidationError, NodePermutation, make_graph, permute
 from hdse.refine import (HdseEncoding, SpdEncoding, barbell_graph,
                          community_pair_graph, cycle_graph, desargues_graph,
@@ -182,3 +187,225 @@ class TestExpressiveness:
         g2 = cycle_graph(4)
         cm1, cm2 = refine_pair(g1, g2, SpdEncoding())
         assert cm1.histogram() == cm2.histogram()
+
+
+# ---------------------------------------------------------------------------
+# Oracle: tuple-and-dictionary refinement. Every multiset is a sorted tuple of
+# (distance key tuple, color) pairs, interned into one id table shared by
+# both graphs and all iterations.
+
+class _Interner:
+    """Injective multiset -> color-id map shared across a graph pair."""
+
+    def __init__(self):
+        self.table: dict = {}
+
+    def get(self, key) -> int:
+        if key not in self.table:
+            self.table[key] = len(self.table)
+        return self.table[key]
+
+
+def _oracle_keys(g, enc):
+    if isinstance(enc, SpdEncoding):
+        return spd_all_pairs(g).values[:, :, None]
+    h = build_hierarchy(g, enc.algo, enc.levels, seed=enc.seed)
+    return hdse(h, clip=enc.clip).entries.astype(np.int32)
+
+
+def _oracle_initial_colors(g, interner):
+    if g.features is not None:
+        return np.array([interner.get(("feat", tuple(row)))
+                         for row in g.features])
+    return np.array([interner.get(("feat", ())) for _ in range(g.num_nodes)])
+
+
+def _oracle_refine_step(keys, colors, interner):
+    n = len(colors)
+    new = np.empty(n, dtype=np.int64)
+    for v in range(n):
+        multiset = tuple(sorted(
+            (tuple(keys[v, u].tolist()), int(colors[u])) for u in range(n)))
+        new[v] = interner.get(multiset)
+    return new
+
+
+def _oracle_same_partition(a, b):
+    seen: dict = {}
+    for x, y in zip(a.tolist(), b.tolist()):
+        if x in seen:
+            if seen[x] != y:
+                return False
+        else:
+            seen[x] = y
+    return len(set(seen.values())) == len(seen)
+
+
+def oracle_refine_pair(g1, g2, enc):
+    """(colors per iteration, history) for both graphs, and the verdict."""
+    interner = _Interner()
+    keys = [_oracle_keys(g1, enc), _oracle_keys(g2, enc)]
+    colors = [_oracle_initial_colors(g, interner) for g in (g1, g2)]
+    out = [[c] for c in colors]
+    for _ in range(max(1, g1.num_nodes, g2.num_nodes)):
+        new = [_oracle_refine_step(k, c, interner)
+               for k, c in zip(keys, colors)]
+        for seq, c in zip(out, new):
+            seq.append(c)
+        if all(_oracle_same_partition(a, b) for a, b in zip(colors, new)):
+            break
+        colors = new
+    histories = [[len(np.unique(c)) for c in seq] for seq in out]
+    verdict = Counter(out[0][-1].tolist()) != Counter(out[1][-1].tolist())
+    return out, histories, verdict
+
+
+def canonical(colors):
+    """Relabel colors by first appearance: equal iff same partition."""
+    _, first, inverse = np.unique(colors, return_index=True,
+                                  return_inverse=True)
+    return np.argsort(np.argsort(first))[inverse]
+
+
+def assert_matches_oracle(g1, g2, enc):
+    cm1, cm2 = refine_pair(g1, g2, enc)
+    (o1, o2), (h1, h2), verdict = oracle_refine_pair(g1, g2, enc)
+    assert len(cm1.colors) == len(cm2.colors) == len(o1) == len(o2)
+    for it, (c1, c2, e1, e2) in enumerate(zip(cm1.colors, cm2.colors, o1, o2)):
+        assert np.array_equal(canonical(np.concatenate([c1, c2])),
+                              canonical(np.concatenate([e1, e2]))), it
+    assert cm1.history == h1
+    assert cm2.history == h2
+    assert (cm1.histogram() != cm2.histogram()) == verdict
+    return verdict
+
+
+def changed(g, kind, rng):
+    """g with one edge moved to a non-edge ("rewired") or one edge added."""
+    edges = g.edge_array().tolist()
+    present = {tuple(e) for e in edges}
+    while True:
+        u, v = sorted(rng.choice(g.num_nodes, size=2, replace=False).tolist())
+        if (u, v) not in present:
+            break
+    if kind == "rewired":
+        edges[rng.integers(len(edges))] = (u, v)
+    else:
+        edges.append((u, v))
+    return make_graph(g.num_nodes, edges, features=g.features)
+
+
+def make_pair(kind, n, seed, features):
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 3.0 / n]
+    feats = None
+    if features:
+        feats = rng.integers(0, 2, size=(n, 2)).astype(np.float64)
+    g = make_graph(n, edges, features=feats)
+    if kind == "twin":
+        return g, permute(g, NodePermutation.random(n, rng))
+    return g, changed(g, kind, rng)
+
+
+ORACLE_ENCODINGS = [
+    SpdEncoding(),
+    HdseEncoding(levels=1, algo="louvain"),
+    HdseEncoding(levels=2, algo="louvain"),
+    HdseEncoding(levels=1, algo="hem"),
+    HdseEncoding(levels=2, algo="hem"),
+]
+
+
+class TestRefineOracle:
+    @pytest.mark.parametrize("enc", ORACLE_ENCODINGS,
+                             ids=lambda e: f"{e.kind}-{getattr(e, 'algo', '')}"
+                             f"{getattr(e, 'levels', '')}")
+    @pytest.mark.parametrize("kind", ["twin", "rewired", "extra_edge"])
+    @pytest.mark.parametrize("features", [False, True])
+    def test_pairs_match_oracle(self, enc, kind, features):
+        for seed, n in ((1, 12), (2, 25), (3, 40)):
+            g1, g2 = make_pair(kind, n, seed, features)
+            verdict = assert_matches_oracle(g1, g2, enc)
+            if kind == "twin" and isinstance(enc, SpdEncoding):
+                assert not verdict
+
+    @pytest.mark.parametrize("enc", [SpdEncoding(),
+                                     HdseEncoding(levels=2, algo="hem")])
+    def test_only_one_graph_has_features(self, enc):
+        g1, _ = make_pair("twin", 15, 4, features=True)
+        g2 = make_graph(15, g1.edge_array())
+        assert assert_matches_oracle(g1, g2, enc)
+        assert assert_matches_oracle(g2, g1, enc)
+        cm1, cm2 = refine_pair(g1, g2, enc)
+        assert not set(cm1.colors[0].tolist()) & set(cm2.colors[0].tolist())
+
+    def test_different_sizes_match_oracle(self):
+        g1, _ = make_pair("twin", 10, 5, features=False)
+        g2, _ = make_pair("twin", 13, 5, features=False)
+        for enc in (SpdEncoding(), HdseEncoding(levels=1, algo="louvain")):
+            assert assert_matches_oracle(g1, g2, enc)
+
+    def test_named_pairs_match_oracle(self):
+        dod, des = dodecahedron_graph(), desargues_graph()
+        assert not assert_matches_oracle(dod, des, SpdEncoding())
+        assert_matches_oracle(barbell_graph(4), cycle_graph(8),
+                              HdseEncoding(levels=2, algo="hem"))
+
+    def test_one_graph_is_the_pair_case(self):
+        g, _ = make_pair("rewired", 30, 6, features=True)
+        for enc in ORACLE_ENCODINGS:
+            cm = gd_wl_refine(g, enc)
+            (seq, _), (hist, _), _ = oracle_refine_pair(g, g, enc)
+            assert len(cm.colors) == len(seq)
+            for c, e in zip(cm.colors, seq):
+                assert np.array_equal(canonical(c), canonical(e))
+            assert cm.history == hist
+
+    def test_many_levels_do_not_overflow(self):
+        # components stay apart at every level, so each of the 13 key
+        # columns spans 0..255 and the folded pair id must be re-densified
+        enc = HdseEncoding(levels=12, algo="hem", clip=254)
+        rng = np.random.default_rng(7)
+        edges, n = [], 0
+        for size in (12, 9, 7, 5, 3, 1, 1):
+            edges += [(n + i, n + j) for i in range(size)
+                      for j in range(i + 1, size) if rng.random() < 0.4]
+            n += size
+        g1 = make_graph(n, edges)
+        g2 = changed(g1, "rewired", rng)
+        keys = _oracle_keys(g1, enc)
+        spans = np.ptp(keys.reshape(-1, keys.shape[-1]), axis=0) + 1
+        assert np.prod(spans.astype(float)) > refine._ID_LIMIT
+        assert_matches_oracle(g1, g2, enc)
+        assert_matches_oracle(g1, permute(g1, NodePermutation.random(n, rng)),
+                              enc)
+
+    def test_pair_ids_are_exact_for_wide_keys(self):
+        # the second graph repeats most keys of the first and changes only
+        # the first column of the others: a wrapped int64 would merge them
+        rng = np.random.default_rng(8)
+        first = rng.integers(0, 256, size=(20, 20, 13)).astype(np.int32)
+        second = first[:17, :17].copy()
+        second[:8, :8, 0] = (second[:8, :8, 0] + 1) % 256
+        keys = [first, second]
+        ids = np.concatenate([p.ravel() for p in refine._pair_ids(keys)])
+        rows = np.concatenate([k.reshape(-1, 13) for k in keys])
+        expected = np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+        assert np.array_equal(canonical(ids), canonical(expected))
+
+
+class TestEmptyGraphs:
+    @pytest.mark.parametrize("enc", [SpdEncoding(),
+                                     HdseEncoding(levels=2, algo="louvain"),
+                                     HdseEncoding(levels=1, algo="newman"),
+                                     HdseEncoding(levels=2, algo="hem")],
+                             ids=lambda e: f"{e.kind}-{getattr(e, 'algo', '')}")
+    def test_empty_pair_not_distinguished(self, enc):
+        g = make_graph(0, [])
+        cm1, cm2 = refine_pair(g, g, enc)
+        assert len(cm1.colors) == len(cm2.colors) == 2
+        assert cm1.history == cm2.history == [0, 0]
+        assert cm1.histogram() == cm2.histogram() == Counter()
+        assert not distinguishes(g, g, enc)
+        assert gd_wl_refine(g, enc).history == [0, 0]
