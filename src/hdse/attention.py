@@ -6,6 +6,12 @@ ReLU MLP to one scalar per head. That scalar is added to the scaled attention
 logits before the softmax. A linear (cluster-projected) variant attends from
 base nodes to coarse clusters using the node-to-cluster distance tensor.
 
+``BiasedAttentionLayer`` takes one graph, ``x`` of shape (n, d), or a batch of
+B equal-size graphs, ``x`` of shape (B, n, d) with ``codes`` and ``x_ctx``
+carrying the same leading B axis. A batch runs the bias MLP once over every
+pair of every graph and the attention kernel once per graph; its gradients
+are the sums of the per-graph gradients.
+
 Everything is plain numpy in float64; backward passes are written by hand and
 checked against central finite differences in the test suite.
 """
@@ -172,19 +178,18 @@ def attention_forward(x: np.ndarray, params: AttentionParams,
     if np.isnan(x).any():
         raise ValueError("NaN in input features")
     ctx = x if x_ctx is None else x_ctx
-    q = np.einsum("nd,hde->hne", x, params.w_q)
-    k = np.einsum("md,hde->hme", ctx, params.w_k)
-    v = np.einsum("md,hde->hme", ctx, params.w_v)
+    q = x @ params.w_q                    # (heads, n, head_dim)
+    k = ctx @ params.w_k
+    v = ctx @ params.w_v
     scale = 1.0 / np.sqrt(params.head_dim)
-    logits = np.einsum("hne,hme->hnm", q, k) * scale
+    logits = (q @ k.transpose(0, 2, 1)) * scale
     if bias is not None:
         if bias.shape != (x.shape[0], ctx.shape[0], params.heads):
             raise ValueError(f"bias shape {bias.shape} incompatible with "
                              f"({x.shape[0]}, {ctx.shape[0]}, {params.heads})")
         logits = logits + bias.transpose(2, 0, 1)
     attn = _softmax_rows(logits)
-    out_heads = np.einsum("hnm,hme->hne", attn, v)
-    out = out_heads.transpose(1, 0, 2).reshape(x.shape[0], -1)
+    out = (attn @ v).transpose(1, 0, 2).reshape(x.shape[0], -1)
     cache = {"x": x, "ctx": ctx, "q": q, "k": k, "v": v, "attn": attn,
              "scale": scale, "params": params, "biased": bias is not None}
     return out, cache
@@ -202,16 +207,16 @@ def attention_backward(d_out: np.ndarray, cache: dict):
                                     cache["scale"])
     n = x.shape[0]
     d_heads = d_out.reshape(n, params.heads, params.head_dim).transpose(1, 0, 2)
-    d_attn = np.einsum("hne,hme->hnm", d_heads, v)
-    d_v = np.einsum("hnm,hne->hme", attn, d_heads)
+    d_attn = d_heads @ v.transpose(0, 2, 1)
+    d_v = attn.transpose(0, 2, 1) @ d_heads
     # softmax backward per row
     inner = (d_attn * attn).sum(axis=-1, keepdims=True)
     d_logits = attn * (d_attn - inner)
-    d_q = np.einsum("hnm,hme->hne", d_logits, k) * scale
-    d_k = np.einsum("hnm,hne->hme", d_logits, q) * scale
-    d_wq = np.einsum("nd,hne->hde", x, d_q)
-    d_wk = np.einsum("md,hme->hde", ctx, d_k)
-    d_wv = np.einsum("md,hme->hde", ctx, d_v)
+    d_q = (d_logits @ k) * scale
+    d_k = (d_logits.transpose(0, 2, 1) @ q) * scale
+    d_wq = x.T @ d_q
+    d_wk = ctx.T @ d_k
+    d_wv = ctx.T @ d_v
     d_bias = d_logits.transpose(1, 2, 0) if cache["biased"] else None
     return d_wq, d_wk, d_wv, d_bias
 
@@ -224,7 +229,10 @@ class BiasedAttentionLayer:
 
     ``codes`` passed to forward is the integer distance tensor; when None the
     layer degenerates to unbiased attention. ``x_ctx`` switches to the linear
-    node-to-cluster variant (codes then indexed node x cluster).
+    node-to-cluster variant (codes then indexed node x cluster). An ``x`` of
+    shape (B, n, d) is a batch of B graphs: ``codes`` is then
+    (B, n, m, levels), ``x_ctx`` is (B, m, d), and the output is
+    (B, n, heads * head_dim).
     """
 
     def __init__(self, attn: AttentionParams, bias: BiasParams | None = None):
@@ -234,22 +242,50 @@ class BiasedAttentionLayer:
 
     def forward(self, x: np.ndarray, codes: np.ndarray | None = None,
                 x_ctx: np.ndarray | None = None) -> np.ndarray:
-        bias_val, bias_cache = None, None
+        self._cache = None  # free the last call's activations before this one
+        batched = x.ndim == 3
+        xs = x if batched else x[None]
+        ctxs = [None] * len(xs)
+        if x_ctx is not None:
+            ctxs = x_ctx if batched else x_ctx[None]
+            if ctxs.ndim != 3 or len(ctxs) != len(xs):
+                raise ValueError(f"x_ctx of shape {x_ctx.shape} does not "
+                                 f"match x of shape {x.shape}")
+        biases, bias_cache = [None] * len(xs), None
         if codes is not None:
             if self.bias is None:
                 raise ValueError("layer has no bias parameters")
-            bias_val, bias_cache = bias_matrix(codes, self.bias)
-        out, attn_cache = attention_forward(x, self.attn, bias_val, x_ctx)
-        self._cache = (attn_cache, bias_cache)
-        return out
+            codes = np.asarray(codes)
+            stacked = codes if batched else codes[None]
+            if stacked.ndim != 4 or len(stacked) != len(xs):
+                raise ValueError(f"codes of shape {codes.shape} do not match "
+                                 f"x of shape {x.shape}")
+            b, n, m, levels = stacked.shape
+            # the MLP acts on each pair alone, so one call covers the batch
+            flat, bias_cache = bias_matrix(stacked.reshape(b * n, m, levels),
+                                           self.bias)
+            biases = flat.reshape(b, n, m, -1)
+        outs, attn_caches = [], []
+        for xi, bi, ci in zip(xs, biases, ctxs):
+            out, cache = attention_forward(xi, self.attn, bi, ci)
+            outs.append(out)
+            attn_caches.append(cache)
+        self._cache = (attn_caches, bias_cache, batched)
+        return np.stack(outs) if batched else outs[0]
 
     def backward(self, d_out: np.ndarray) -> Gradients:
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        attn_cache, bias_cache = self._cache
-        d_wq, d_wk, d_wv, d_bias = attention_backward(d_out, attn_cache)
+        attn_caches, bias_cache, batched = self._cache
+        d_outs = d_out if batched else d_out[None]
+        per_graph = [attention_backward(d, c)
+                     for d, c in zip(d_outs, attn_caches)]
+        d_wq, d_wk, d_wv = (sum(g[j] for g in per_graph) for j in range(3))
         if bias_cache is not None:
-            d_emb, d_w1, d_b1, d_w2, d_b2 = bias_backward(d_bias, bias_cache)
+            d_bias = np.stack([g[3] for g in per_graph])
+            b, n, m, heads = d_bias.shape
+            d_emb, d_w1, d_b1, d_w2, d_b2 = bias_backward(
+                d_bias.reshape(b * n, m, heads), bias_cache)
         else:
             z = np.zeros(0)
             d_emb = d_w1 = d_b1 = d_w2 = d_b2 = z

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphValidationError, make_graph
+from .graph import (Graph, GraphParseError, GraphValidationError,
+                    graph_from_json_dict, make_graph)
 
 
 @dataclass(frozen=True)
@@ -324,13 +325,6 @@ def build_coarse_graph(g: Graph, p: Partition) -> Graph:
     return make_graph(p.num_clusters, ce, features=feats)
 
 
-def intra_cluster_edge_count(g: Graph, p: Partition) -> int:
-    edges = g.edge_array()
-    if not len(edges):
-        return 0
-    return int(np.sum(p.assign[edges[:, 0]] == p.assign[edges[:, 1]]))
-
-
 @dataclass(frozen=True)
 class Hierarchy:
     """Coarsening hierarchy: levels[0] is the input graph.
@@ -346,7 +340,6 @@ class Hierarchy:
     projections: list[ProjectionMatrix]
     coarsening_ratios: list[float]
     projected_features: list[np.ndarray] | None = None
-    intra_edges: list[int] = field(default_factory=list)
     algo: str = ""
     seed: int = 0
 
@@ -391,7 +384,6 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
     maps: list[Partition] = []
     projections: list[ProjectionMatrix] = []
     ratios: list[float] = []
-    intra: list[int] = []
     proj_feats = [g.features] if g.features is not None else None
     for _ in range(levels):
         cur = graphs[-1]
@@ -405,12 +397,11 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
         projections.append(proj)
         ratios.append(part.num_clusters / cur.num_nodes if cur.num_nodes
                       else 1.0)
-        intra.append(intra_cluster_edge_count(cur, part))
         graphs.append(build_coarse_graph(cur, part))
         if proj_feats is not None:
             proj_feats.append(proj.normalized.T @ proj_feats[-1])
     return Hierarchy(graphs, maps, projections, ratios,
-                     projected_features=proj_feats, intra_edges=intra,
+                     projected_features=proj_feats,
                      algo=algo, seed=seed)
 
 
@@ -428,18 +419,25 @@ def composed_projection(h: Hierarchy, c: int) -> ProjectionMatrix:
 def permute_hierarchy(h: Hierarchy, sigma) -> Hierarchy:
     """Relabel the base level by sigma, composing sigma into the first map.
 
-    Coarse levels are untouched; no coarsening is re-run.
+    Coarse levels are untouched; no coarsening is re-run. The projected
+    feature chain starts from the permuted base features and keeps the coarse
+    entries, whose clusters are not relabelled.
     """
     from .graph import permute
     g0 = permute(h.levels[0], sigma)
+    proj_feats = None
+    if h.projected_features is not None:
+        proj_feats = [g0.features] + list(h.projected_features[1:])
     inv = sigma.inverse().forward
     if not h.maps:
-        return Hierarchy([g0], [], [], [], algo=h.algo, seed=h.seed)
+        return Hierarchy([g0], [], [], [], projected_features=proj_feats,
+                         algo=h.algo, seed=h.seed)
     first = Partition(h.maps[0].assign[inv], h.maps[0].num_clusters)
     maps = [first] + list(h.maps[1:])
     projections = [ProjectionMatrix.from_partition(first)] + list(h.projections[1:])
     return Hierarchy([g0] + list(h.levels[1:]), maps, projections,
-                     list(h.coarsening_ratios), algo=h.algo, seed=h.seed)
+                     list(h.coarsening_ratios), projected_features=proj_feats,
+                     algo=h.algo, seed=h.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +454,42 @@ def hierarchy_to_json(h: Hierarchy) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def hierarchy_from_json(data) -> Hierarchy:
+    """Parse ``hierarchy_to_json`` output.
+
+    A malformed object raises GraphParseError: wrong types, a map count that
+    is not one less than the level count, or a map whose length differs from
+    the size of its level.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     obj = json.loads(data)
-    levels = [make_graph(d["num_nodes"], d["edges"],
-                         features=d.get("features"), labels=d.get("labels"))
-              for d in obj["levels"]]
+    if not (isinstance(obj, dict)
+            and all(isinstance(obj.get(key), list)
+                    for key in ("levels", "maps", "ratios"))
+            and isinstance(obj.get("algo", ""), str)
+            and _is_int(obj.get("seed", 0))):
+        raise GraphParseError("hierarchy JSON needs 'levels', 'maps' and "
+                              "'ratios' lists, a string 'algo' and an "
+                              "integer 'seed'")
+    if not obj["levels"] or not (len(obj["maps"]) == len(obj["ratios"])
+                                 == len(obj["levels"]) - 1):
+        raise GraphParseError("hierarchy JSON needs one map and one ratio "
+                              "per level above the base")
+    if not all(isinstance(r, (int, float)) and not isinstance(r, bool)
+               for r in obj["ratios"]):
+        raise GraphParseError("hierarchy ratios must be numbers")
+    levels = [graph_from_json_dict(d) for d in obj["levels"]]
+    for k, a in enumerate(obj["maps"]):
+        if not (isinstance(a, list) and all(_is_int(c) for c in a)):
+            raise GraphParseError(f"map {k} must be a list of integers")
+        if len(a) != levels[k].num_nodes:
+            raise GraphParseError(f"map {k} has {len(a)} entries, level {k} "
+                                  f"has {levels[k].num_nodes} nodes")
     maps = [Partition(np.asarray(a, dtype=np.int64),
                       levels[k + 1].num_nodes)
             for k, a in enumerate(obj["maps"])]
@@ -474,4 +501,4 @@ def hierarchy_from_json(data) -> Hierarchy:
             proj_feats.append(proj.normalized.T @ proj_feats[-1])
     return Hierarchy(levels, maps, projections, list(obj["ratios"]),
                      projected_features=proj_feats,
-                     algo=obj.get("algo", ""), seed=int(obj.get("seed", 0)))
+                     algo=obj.get("algo", ""), seed=obj.get("seed", 0))

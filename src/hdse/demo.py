@@ -6,9 +6,10 @@ distance, hierarchical distance), and reports test accuracy at the best
 validation epoch. Node features are random, so the only usable signal is the
 community structure exposed through the attention bias.
 
-Every graph in the dataset has the same node count, so the training loop runs
-batched over graphs; the batched forward/backward mirrors the single-graph
-attention module and is checked against it in the test suite.
+Every graph in the dataset has the same node count, so each epoch passes the
+whole dataset as one (graphs, nodes, features) batch through
+``attention.BiasedAttentionLayer``; this module adds only the linear
+classifier, the masked cross-entropy and the training loop.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (AttentionParams, BiasParams, init_attention_params,
+from .attention import (BiasedAttentionLayer, init_attention_params,
                         init_bias_params)
 from .coarsen import build_hierarchy
 from .distance import hdse, spd_all_pairs, _encode
@@ -114,100 +115,6 @@ def _cross_entropy_masked(logits: np.ndarray, labels: np.ndarray,
     return loss, d * mask[..., None] / count
 
 
-class _BatchedModel:
-    """Biased attention + linear classifier over a batch of equal-size graphs."""
-
-    def __init__(self, attn: AttentionParams, bias: BiasParams | None,
-                 w_c: np.ndarray, b_c: np.ndarray):
-        self.attn = attn
-        self.bias = bias
-        self.w_c = w_c
-        self.b_c = b_c
-        self._cache = None
-
-    def forward(self, x: np.ndarray, codes: np.ndarray | None) -> np.ndarray:
-        """x: (B, n, d); codes: (B, n, n, levels) or None. Returns class logits."""
-        p = self.attn
-        cache: dict = {"x": x}
-        bias_val = None
-        if codes is not None:
-            bp = self.bias
-            batch, n, _, levels = codes.shape
-            gathered = bp.embeddings[np.arange(levels), codes]
-            cat = gathered.reshape(batch, n, n, -1)
-            pre = cat @ bp.w1 + bp.b1
-            hid = np.maximum(pre, 0.0)
-            bias_val = hid @ bp.w2 + bp.b2      # (B, n, n, heads)
-            cache.update(codes=codes, cat=cat, pre=pre, hid=hid)
-        q = np.einsum("bnd,hde->bhne", x, p.w_q)
-        k = np.einsum("bnd,hde->bhne", x, p.w_k)
-        v = np.einsum("bnd,hde->bhne", x, p.w_v)
-        scale = 1.0 / np.sqrt(p.head_dim)
-        logits = np.einsum("bhne,bhme->bhnm", q, k) * scale
-        if bias_val is not None:
-            logits = logits + bias_val.transpose(0, 3, 1, 2)
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        attn_w = e / e.sum(axis=-1, keepdims=True)
-        out_heads = np.einsum("bhnm,bhme->bhne", attn_w, v)
-        out = out_heads.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[1], -1)
-        cls = out @ self.w_c + self.b_c
-        cache.update(q=q, k=k, v=v, attn=attn_w, scale=scale, out=out)
-        self._cache = cache
-        return cls
-
-    def step(self, d_cls: np.ndarray, lr: float) -> None:
-        """Backprop the class-logit gradient and apply one GD step."""
-        c = self._cache
-        p = self.attn
-        x, out, attn_w = c["x"], c["out"], c["attn"]
-        d_wc = np.einsum("bno,bnc->oc", out, d_cls)
-        d_bc = d_cls.sum(axis=(0, 1))
-        d_out = d_cls @ self.w_c.T
-        batch, n, _ = x.shape
-        d_heads = d_out.reshape(batch, n, p.heads, p.head_dim).transpose(0, 2, 1, 3)
-        d_attn = np.einsum("bhne,bhme->bhnm", d_heads, c["v"])
-        d_v = np.einsum("bhnm,bhne->bhme", attn_w, d_heads)
-        inner = (d_attn * attn_w).sum(axis=-1, keepdims=True)
-        d_logits = attn_w * (d_attn - inner)
-        d_q = np.einsum("bhnm,bhme->bhne", d_logits, c["k"]) * c["scale"]
-        d_k = np.einsum("bhnm,bhne->bhme", d_logits, c["q"]) * c["scale"]
-        p.w_q -= lr * np.einsum("bnd,bhne->hde", x, d_q)
-        p.w_k -= lr * np.einsum("bnd,bhne->hde", x, d_k)
-        p.w_v -= lr * np.einsum("bnd,bhne->hde", x, d_v)
-        if self.bias is not None and "codes" in c:
-            bp = self.bias
-            d_bias = d_logits.transpose(0, 2, 3, 1)  # (B, n, n, heads)
-            d_w2 = np.einsum("bijh,bijo->ho", c["hid"], d_bias)
-            d_b2 = d_bias.sum(axis=(0, 1, 2))
-            d_hid = d_bias @ bp.w2.T
-            d_pre = d_hid * (c["pre"] > 0)
-            d_w1 = np.einsum("bijc,bijh->ch", c["cat"], d_pre)
-            d_b1 = d_pre.sum(axis=(0, 1, 2))
-            d_cat = d_pre @ bp.w1.T
-            levels, embed_dim = bp.embeddings.shape[0], bp.embeddings.shape[2]
-            d_gath = d_cat.reshape(batch, n, n, levels, embed_dim)
-            d_emb = np.zeros_like(bp.embeddings)
-            for lv in range(levels):
-                np.add.at(d_emb[lv], c["codes"][:, :, :, lv].ravel(),
-                          d_gath[:, :, :, lv].reshape(-1, embed_dim))
-            bp.embeddings -= lr * d_emb
-            bp.w1 -= lr * d_w1
-            bp.b1 -= lr * d_b1
-            bp.w2 -= lr * d_w2
-            bp.b2 -= lr * d_b2
-        self.w_c -= lr * d_wc
-        self.b_c -= lr * d_bc
-
-    def snapshot(self) -> dict:
-        params = {"w_q": self.attn.w_q, "w_k": self.attn.w_k,
-                  "w_v": self.attn.w_v, "w_c": self.w_c, "b_c": self.b_c}
-        if self.bias is not None:
-            params.update(embeddings=self.bias.embeddings, w1=self.bias.w1,
-                          b1=self.bias.b1, w2=self.bias.w2, b2=self.bias.b2)
-        return {k: v.copy() for k, v in params.items()}
-
-
 def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoResult:
     """Train one model with the given encoding; deterministic per seed."""
     if encoding not in ENCODINGS:
@@ -228,7 +135,8 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     n_classes = 2
     w_c = rng.uniform(-1, 1, (out_dim, n_classes)) / np.sqrt(out_dim)
     b_c = np.zeros(n_classes)
-    model = _BatchedModel(attn, bias, w_c, b_c)
+    layer = BiasedAttentionLayer(attn, bias)
+    params = [arr for _, arr in layer.parameters()] + [w_c, b_c]
 
     x = np.stack([item["features"] for item in data])
     labels = np.stack([item["labels"] for item in data])
@@ -250,28 +158,26 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
         return float(((pred == labels) & m).sum() / m.sum())
 
     metrics = []
-    best = (-1.0, 0, None)  # (val_acc, epoch, params)
+    best = (-1.0, 0, None)  # (val_acc, epoch, parameter copies)
     for epoch in range(cfg.epochs):
-        cls = model.forward(x, codes)
+        out = layer.forward(x, codes)
+        cls = out @ w_c + b_c
         loss, d_cls = _cross_entropy_masked(cls, labels, masks["train"])
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             val = accuracy(cls, "val")
             metrics.append((epoch, float(loss), accuracy(cls, "train"),
                             accuracy(cls, "test")))
             if val > best[0]:
-                best = (val, epoch, model.snapshot())
-        model.step(d_cls, cfg.lr)
+                best = (val, epoch, [arr.copy() for arr in params])
+        layer.apply_gradients(layer.backward(d_cls @ w_c.T), cfg.lr)
+        w_c -= cfg.lr * np.einsum("bno,bnc->oc", out, d_cls)
+        b_c -= cfg.lr * d_cls.sum(axis=(0, 1))
 
     # restore the best-validation parameters and report its test accuracy
-    val_acc, best_epoch, params = best
-    model.attn.w_q[:], model.attn.w_k[:] = params["w_q"], params["w_k"]
-    model.attn.w_v[:] = params["w_v"]
-    model.w_c[:], model.b_c[:] = params["w_c"], params["b_c"]
-    if bias is not None:
-        bias.embeddings[:] = params["embeddings"]
-        bias.w1[:], bias.b1[:] = params["w1"], params["b1"]
-        bias.w2[:], bias.b2[:] = params["w2"], params["b2"]
-    cls = model.forward(x, codes)
+    val_acc, best_epoch, saved = best
+    for arr, copy in zip(params, saved):
+        arr[...] = copy
+    cls = layer.forward(x, codes) @ w_c + b_c
     return DemoResult(encoding, seed, accuracy(cls, "train"), val_acc,
                       accuracy(cls, "test"), best_epoch, metrics)
 

@@ -115,7 +115,9 @@ def make_graph(num_nodes: int, edges, features=None, labels=None) -> Graph:
 
     Duplicate and reversed edges are collapsed; self-loops are rejected.
     """
-    edges = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if len(edges) and (edges.min() < 0 or edges.max() >= num_nodes):
         raise GraphValidationError(
             f"edge endpoint out of range [0, {num_nodes})")
@@ -233,10 +235,32 @@ def load_json_graph(data) -> Graph:
         obj = json.loads(data)
     except json.JSONDecodeError as e:
         raise GraphParseError(f"invalid JSON: {e}") from e
+    return graph_from_json_dict(obj)
+
+
+def graph_from_json_dict(obj) -> Graph:
+    """Build a Graph from a decoded JSON object in the ``to_json_dict`` format.
+
+    ``num_nodes`` must be a non-negative integer and ``edges`` a list of
+    integer pairs; anything else raises GraphParseError.
+    """
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph needs 'num_nodes' and 'edges'")
-    return make_graph(int(obj["num_nodes"]), obj["edges"],
-                      features=obj.get("features"), labels=obj.get("labels"))
+    n, edges = obj["num_nodes"], obj["edges"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise GraphParseError(
+            f"'num_nodes' must be a non-negative integer, got {n!r}")
+    if not isinstance(edges, list):
+        raise GraphParseError("'edges' must be a list of [u, v] pairs")
+    try:
+        arr = np.asarray(edges)
+    except ValueError:  # ragged rows
+        arr = None
+    if edges and (arr is None or arr.ndim != 2 or arr.shape[1] != 2
+                  or arr.dtype.kind not in "iu"):
+        raise GraphParseError("'edges' must be a list of [u, v] integer pairs")
+    return make_graph(n, arr, features=obj.get("features"),
+                      labels=obj.get("labels"))
 
 
 def permute(g: Graph, sigma: NodePermutation) -> Graph:

@@ -243,6 +243,8 @@ def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
     Node labels record the block. A single deterministic inter-block edge is
     added when the sample produces none, so the graph stays connected-ish.
     """
+    if n < 1 or seed < 0:
+        raise GraphValidationError("community_pair needs n >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
     edges = []
     for base in (0, n):
@@ -265,26 +267,36 @@ def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
 _NAME_RE = re.compile(r"^(\w+)(?:\(([^)]*)\))?$")
 
 
+_NAMED_GRAPHS = {
+    "dodecahedron": (dodecahedron_graph, ()),
+    "desargues": (desargues_graph, ()),
+    "cycle": (cycle_graph, (int,)),
+    "barbell": (barbell_graph, (int,)),
+    "community_pair": (community_pair_graph, (int, float, float, int)),
+}
+
+
 def make_named_graph(name: str) -> Graph:
     """Build a graph from a generator-name string.
 
     Accepted: "dodecahedron", "desargues", "cycle(n)", "barbell(k)",
-    "community_pair(n,p,q,seed)".
+    "community_pair(n,p,q,seed)". A wrong argument count or an argument of
+    the wrong type raises GraphValidationError.
     """
     m = _NAME_RE.match(name.strip())
     if not m:
         raise GraphValidationError(f"cannot parse graph name {name!r}")
     kind, argstr = m.group(1), m.group(2)
+    if kind not in _NAMED_GRAPHS:
+        raise GraphValidationError(f"unknown named graph {kind!r}")
+    build, types = _NAMED_GRAPHS[kind]
     args = [a.strip() for a in argstr.split(",")] if argstr else []
-    if kind == "dodecahedron":
-        return dodecahedron_graph()
-    if kind == "desargues":
-        return desargues_graph()
-    if kind == "cycle":
-        return cycle_graph(int(args[0]))
-    if kind == "barbell":
-        return barbell_graph(int(args[0]))
-    if kind == "community_pair":
-        n, p, q, seed = int(args[0]), float(args[1]), float(args[2]), int(args[3])
-        return community_pair_graph(n, p, q, seed)
-    raise GraphValidationError(f"unknown named graph {kind!r}")
+    if len(args) != len(types):
+        raise GraphValidationError(f"{kind} takes {len(types)} argument(s), "
+                                   f"got {len(args)}")
+    try:
+        values = [t(a) for t, a in zip(types, args)]
+    except ValueError:
+        raise GraphValidationError(
+            f"bad arguments for {kind}: {argstr!r}") from None
+    return build(*values)

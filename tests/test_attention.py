@@ -5,7 +5,6 @@ from hdse.attention import (AttentionParams, BiasParams, BiasedAttentionLayer,
                             attention_forward, bias_matrix,
                             init_attention_params, init_bias_params)
 from hdse.coarsen import build_hierarchy
-from hdse.demo import _BatchedModel
 from hdse.distance import hdse, high_level_hdse
 from hdse.graph import make_graph
 
@@ -235,6 +234,18 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((4, 6)))
 
+    def test_backward_after_failed_forward(self):
+        rng = np.random.default_rng(24)
+        layer = self.make_layer(rng)
+        x = rng.standard_normal((4, 5))
+        layer.forward(x, rng.integers(0, 7, (4, 4, 2)))
+        x[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            layer.forward(x, rng.integers(0, 7, (4, 4, 2)))
+        # the earlier call's activations are gone, not reused
+        with pytest.raises(RuntimeError):
+            layer.backward(np.zeros((4, 6)))
+
     def test_value_gradient_uniform_attention_hand_trace(self):
         # 2 nodes, uniform attention (zero Q/K), loss = sum of outputs:
         # d w_v = x^T (attn^T d_heads) with attn = 1/2 everywhere, so each
@@ -274,50 +285,78 @@ class TestBackward:
             assert finite_difference_check(layer, x, codes, w) < 1e-4
 
 
-class TestBatchedModel:
-    def test_matches_single_graph_layer(self):
-        rng = np.random.default_rng(18)
+class TestBatchedLayer:
+    def make_layer(self, rng, levels=2):
         attn = init_attention_params(5, 2, 3, rng)
-        bias = init_bias_params(2, 5, 3, 3, 2, rng)
-        w_c = rng.standard_normal((6, 2))
-        b_c = rng.standard_normal(2)
-        model = _BatchedModel(attn, bias, w_c, b_c)
+        bias = init_bias_params(levels, 5, 3, 3, 2, rng)
+        return BiasedAttentionLayer(attn, bias)
+
+    def test_forward_matches_per_graph_calls(self):
+        rng = np.random.default_rng(18)
+        layer = self.make_layer(rng)
         x = rng.standard_normal((3, 4, 5))
         codes = rng.integers(0, 7, (3, 4, 4, 2))
-        cls = model.forward(x, codes)
-        layer = BiasedAttentionLayer(attn, bias)
+        out = layer.forward(x, codes)
+        assert out.shape == (3, 4, 6)
         for b in range(3):
-            out = layer.forward(x[b], codes[b])
-            np.testing.assert_allclose(cls[b], out @ w_c + b_c, atol=1e-12)
+            np.testing.assert_allclose(out[b], layer.forward(x[b], codes[b]),
+                                       atol=1e-12)
 
-    def test_batched_gradients_match_layer_sum(self):
+    def test_forward_without_codes_matches_per_graph_calls(self):
+        rng = np.random.default_rng(20)
+        layer = self.make_layer(rng)
+        x = rng.standard_normal((3, 4, 5))
+        out = layer.forward(x)
+        for b in range(3):
+            np.testing.assert_allclose(out[b], layer.forward(x[b]), atol=1e-12)
+
+    def test_forward_with_context_matches_per_graph_calls(self):
+        rng = np.random.default_rng(21)
+        layer = self.make_layer(rng, levels=1)
+        x = rng.standard_normal((2, 5, 5))
+        xk = rng.standard_normal((2, 3, 5))
+        codes = rng.integers(0, 7, (2, 5, 3, 1))
+        out = layer.forward(x, codes, x_ctx=xk)
+        assert out.shape == (2, 5, 6)
+        for b in range(2):
+            ref = layer.forward(x[b], codes[b], x_ctx=xk[b])
+            np.testing.assert_allclose(out[b], ref, atol=1e-12)
+
+    def test_gradients_match_per_graph_sum(self):
         rng = np.random.default_rng(19)
-        attn = init_attention_params(5, 2, 3, rng)
-        bias = init_bias_params(1, 5, 3, 3, 2, rng)
-        w_c = rng.standard_normal((6, 2))
-        b_c = rng.standard_normal(2)
+        layer = self.make_layer(rng, levels=1)
         x = rng.standard_normal((2, 4, 5))
         codes = rng.integers(0, 7, (2, 4, 4, 1))
-        d_cls = rng.standard_normal((2, 4, 2))
-
-        # reference: accumulate per-graph layer gradients
-        layer = BiasedAttentionLayer(
-            AttentionParams(attn.w_q.copy(), attn.w_k.copy(), attn.w_v.copy()),
-            BiasParams(bias.embeddings.copy(), bias.w1.copy(), bias.b1.copy(),
-                       bias.w2.copy(), bias.b2.copy()))
+        d_out = rng.standard_normal((2, 4, 6))
         ref = {}
         for b in range(2):
-            out = layer.forward(x[b], codes[b])
-            g = layer.backward(d_cls[b] @ w_c.T)
+            layer.forward(x[b], codes[b])
+            g = layer.backward(d_out[b])
             for name, _ in layer.parameters():
                 ref[name] = ref.get(name, 0) + getattr(g, name)
+        layer.forward(x, codes)
+        g = layer.backward(d_out)
+        for name, _ in layer.parameters():
+            np.testing.assert_allclose(getattr(g, name), ref[name],
+                                       atol=1e-10)
 
-        lr = 0.1
-        model = _BatchedModel(attn, bias, w_c.copy(), b_c.copy())
-        model.forward(x, codes)
-        before = model.snapshot()
-        model.step(d_cls, lr)
-        after = model.snapshot()
-        for name in ("w_q", "w_k", "w_v", "embeddings", "w1", "b1", "w2", "b2"):
-            np.testing.assert_allclose((before[name] - after[name]) / lr,
-                                       ref[name], atol=1e-10)
+    def test_finite_differences_batch(self):
+        rng = np.random.default_rng(22)
+        layer = self.make_layer(rng)
+        x = rng.standard_normal((2, 4, 5))
+        codes = rng.integers(0, 7, (2, 4, 4, 2))
+        w = rng.standard_normal((2, 4, 6))
+        assert finite_difference_check(layer, x, codes, w) < 1e-4
+
+    def test_batch_mismatch(self):
+        rng = np.random.default_rng(23)
+        layer = self.make_layer(rng)
+        x = rng.standard_normal((3, 4, 5))
+        with pytest.raises(ValueError):
+            layer.forward(x, rng.integers(0, 7, (2, 4, 4, 2)))
+        with pytest.raises(ValueError):
+            layer.forward(x, rng.integers(0, 7, (4, 4, 2)))
+        with pytest.raises(ValueError):
+            layer.forward(x[0], rng.integers(0, 7, (1, 4, 4, 2)))
+        with pytest.raises(ValueError):
+            layer.forward(x, x_ctx=rng.standard_normal((3, 5)))

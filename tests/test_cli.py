@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,18 @@ from hdse.coarsen import girvan_newman, hierarchy_from_json
 from hdse.distance import read_tensor
 from hdse.graph import load_edge_list
 from hdse.refine import desargues_graph, dodecahedron_graph
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_cli(*args, cwd):
+    """Run the CLI in a fresh process, so an uncaught error shows as a traceback."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "hdse.cli", *args], cwd=cwd,
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.fixture
@@ -43,6 +59,51 @@ class TestNamedGraph:
 
     def test_unknown_name_config_error(self, capsys):
         assert main(["named-graph", "petersen"]) == 3
+
+    @pytest.mark.parametrize("name", ["cycle", "cycle(x)",
+                                      "community_pair(1,2)"])
+    def test_malformed_arguments_exit_3(self, name, tmp_path):
+        proc = run_cli("named-graph", name, cwd=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+
+class TestMalformedJson:
+    """Malformed JSON inputs are parse errors (exit 2), never tracebacks."""
+
+    def run(self, tmp_path, command, name, payload):
+        f = tmp_path / name
+        f.write_text(payload if isinstance(payload, str)
+                     else json.dumps(payload))
+        proc = run_cli(command, str(f), "-o", str(tmp_path / "out"),
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    def test_encode_levels_not_a_list(self, tmp_path):
+        self.run(tmp_path, "encode", "h.json",
+                 {"levels": 3, "maps": [], "ratios": []})
+
+    def test_encode_top_level_array(self, tmp_path):
+        self.run(tmp_path, "encode", "h.json", [1, 2])
+
+    def test_encode_map_shorter_than_level(self, p3_file, tmp_path):
+        out = tmp_path / "full.json"
+        assert main(["coarsen", p3_file, "-K", "1", "-o", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        obj["maps"][0] = obj["maps"][0][:-1]
+        self.run(tmp_path, "encode", "h.json", obj)
+
+    def test_coarsen_three_column_edges(self, tmp_path):
+        self.run(tmp_path, "coarsen", "g.json",
+                 {"num_nodes": 3, "edges": [[0, 1, 2], [1, 2, 0]]})
+
+    @pytest.mark.parametrize("num_nodes, edges", [(2.5, [[0, 1]]), (-1, [])])
+    def test_coarsen_bad_num_nodes(self, num_nodes, edges, tmp_path):
+        self.run(tmp_path, "coarsen", "g.json",
+                 {"num_nodes": num_nodes, "edges": edges})
 
 
 class TestCoarsen:

@@ -5,8 +5,9 @@ from hdse.coarsen import (Hierarchy, Partition, ProjectionMatrix,
                           build_coarse_graph, build_hierarchy,
                           composed_projection, edge_betweenness,
                           girvan_newman, heavy_edge_matching, hierarchy_from_json,
-                          hierarchy_to_json, louvain, modularity)
-from hdse.graph import GraphValidationError, make_graph
+                          hierarchy_to_json, louvain, modularity,
+                          permute_hierarchy)
+from hdse.graph import GraphValidationError, NodePermutation, make_graph
 
 
 def two_cliques_bridge(k=4):
@@ -235,6 +236,23 @@ class TestHierarchy:
         np.testing.assert_allclose(
             h.levels[1].features * np.sqrt(h.projections[0].cluster_sizes)[:, None],
             expected)
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    def test_permute_keeps_projected_features(self, levels):
+        rng = np.random.default_rng(levels)
+        g = make_graph(8, two_cliques_bridge(4).edge_array(),
+                       features=rng.standard_normal((8, 3)))
+        h = build_hierarchy(g, "hem", levels)
+        hp = permute_hierarchy(h, NodePermutation.random(8, rng))
+        assert len(hp.projected_features) == levels + 1
+        # hierarchy_from_json recomputes the chain from the permuted base
+        # features and the permuted first map
+        rebuilt = hierarchy_from_json(hierarchy_to_json(hp))
+        for got, want in zip(hp.projected_features,
+                             rebuilt.projected_features):
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        np.testing.assert_array_equal(hp.projected_features[0],
+                                      hp.levels[0].features)
 
 
     @pytest.mark.parametrize("algo", ["louvain", "newman", "hem"])
