@@ -3,11 +3,9 @@
 from .graph import (Graph, NodePermutation, GraphParseError,
                     GraphValidationError, load_edge_list, load_json_graph,
                     make_graph, permute, validate, write_edge_list)
-from .coarsen import (Hierarchy, Partition, ProjectionMatrix, build_coarse_graph,
-                      build_hierarchy, composed_projection, girvan_newman,
-                      heavy_edge_matching, hierarchy_from_json,
-                      hierarchy_to_json, louvain, modularity,
-                      permute_hierarchy)
+from .coarsen import (Hierarchy, Partition, build_coarse_graph, build_hierarchy,
+                      girvan_newman, heavy_edge_matching, hierarchy_from_json,
+                      hierarchy_to_json, louvain, modularity, permute_hierarchy)
 from .distance import (UNREACHABLE, DistanceMatrix, HdseTensor,
                        HighLevelHdseTensor, ghd, hdse, high_level_hdse,
                        read_tensor, spd_all_pairs, write_tensor)

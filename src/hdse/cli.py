@@ -22,17 +22,21 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 
 
-def _load_graph(path: str) -> graph.Graph:
+def _load(path: str, parse):
+    """``parse`` applied to the bytes of ``path``; a parse error exits 2."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
         raise SystemExitError(EXIT_IO, f"cannot read {path}: {e}")
     try:
-        if path.endswith(".json"):
-            return graph.load_json_graph(data)
-        return graph.load_edge_list(data)
+        return parse(data)
     except (graph.GraphParseError, graph.GraphValidationError) as e:
         raise SystemExitError(EXIT_IO, f"{path}: {e}")
+
+
+def _load_graph(path: str) -> graph.Graph:
+    return _load(path, graph.load_json_graph if path.endswith(".json")
+                 else graph.load_edge_list)
 
 
 class SystemExitError(Exception):
@@ -68,12 +72,7 @@ def cmd_coarsen(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    try:
-        h = coarsen.hierarchy_from_json(Path(args.hierarchy).read_bytes())
-    except OSError as e:
-        raise SystemExitError(EXIT_IO, f"cannot read {args.hierarchy}: {e}")
-    except (KeyError, ValueError) as e:
-        raise SystemExitError(EXIT_IO, f"{args.hierarchy}: {e}")
+    h = _load(args.hierarchy, coarsen.hierarchy_from_json)
     try:
         if args.base_level:
             t = distance.high_level_hdse(h, args.base_level, clip=args.clip)
@@ -86,8 +85,11 @@ def cmd_encode(args) -> int:
     if args.format == "json":
         _write_output(distance.tensor_to_json(entries, clip) + "\n", args.output)
     else:
-        _write_output(distance.write_tensor(entries, clip), args.output,
-                      binary=True)
+        try:
+            payload = distance.write_tensor(entries, clip)
+        except graph.GraphValidationError as e:
+            raise SystemExitError(EXIT_CONFIG, f"{e}; use --format json")
+        _write_output(payload, args.output, binary=True)
     print(f"tensor dims {entries.shape[0]} x {entries.shape[1]} "
           f"x {entries.shape[2]}, clip {clip}", file=sys.stderr)
     return EXIT_OK
@@ -104,23 +106,30 @@ def cmd_gdwl(args) -> int:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
     enc = _make_encoding(args)
-    cm1, cm2 = refine.refine_pair(g1, g2, enc)
-    distinguished = cm1.histogram() != cm2.histogram()
+    # both graphs are loaded and valid: what refinement rejects is the
+    # encoding's configuration (levels, clip)
+    try:
+        cm1, cm2 = refine.refine_pair(g1, g2, enc)
+        distinguished = cm1.histogram() != cm2.histogram()
+        stable = None
+        if distinguished and args.enc == "hdse":
+            # stability of the verdict across coarsening seeds; the verdict
+            # under args.seed is the one just computed
+            stable = 1 + sum(
+                refine.distinguishes(g1, g2, refine.HdseEncoding(
+                    levels=args.levels, algo=args.algo, clip=args.clip,
+                    seed=s))
+                for s in range(args.seed + 1, args.seed + 3))
+    except graph.GraphValidationError as e:
+        raise SystemExitError(EXIT_CONFIG, str(e))
     verdict = {
         "distinguished": distinguished,
         "iterations": len(cm1.colors) - 1,
         "histogram_g1": sorted(cm1.histogram().values(), reverse=True),
         "histogram_g2": sorted(cm2.histogram().values(), reverse=True),
     }
-    payload = json.dumps(verdict, sort_keys=True) + "\n"
-    _write_output(payload, args.output)
-    if distinguished and args.enc == "hdse":
-        # report stability of the verdict across coarsening seeds; the
-        # verdict under args.seed is the one just computed
-        stable = 1 + sum(
-            refine.distinguishes(g1, g2, refine.HdseEncoding(
-                levels=args.levels, algo=args.algo, clip=args.clip, seed=s))
-            for s in range(args.seed + 1, args.seed + 3))
+    _write_output(json.dumps(verdict, sort_keys=True) + "\n", args.output)
+    if stable is not None:
         print(f"distinguished under {stable}/3 coarsening seeds",
               file=sys.stderr)
     return EXIT_OK if distinguished else EXIT_NEGATIVE
@@ -210,6 +219,11 @@ def main(argv=None) -> int:
         return e.code
     except (graph.GraphParseError, graph.GraphValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError:
+        # an input too large for its arrays, e.g. an edgeless level of
+        # millions of nodes whose n x n distance matrix cannot be allocated
+        print("error: input too large: out of memory", file=sys.stderr)
         return EXIT_IO
 
 

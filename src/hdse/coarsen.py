@@ -1,4 +1,8 @@
-"""Graph coarsening: partitions, projection matrices and multi-level hierarchies.
+"""Graph coarsening: partitions and multi-level hierarchies.
+
+A coarsening map is a ``Partition``, an ``assign`` array from nodes to
+clusters. The paper's projection matrix P is its column-normalized one-hot
+view and is never built (see ``Hierarchy.projected_features``).
 
 Three partitioners are provided: greedy modularity (Louvain), edge-betweenness
 splitting (Girvan-Newman) and repeated maximal matching (METIS-style). All are
@@ -14,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (Graph, GraphParseError, GraphValidationError,
-                    graph_from_json_dict, make_graph)
+                    NodePermutation, graph_from_json_dict, make_graph,
+                    parse_json, permute)
 
 
 @dataclass(frozen=True)
@@ -35,31 +40,22 @@ class Partition:
     def cluster_sizes(self) -> np.ndarray:
         return np.bincount(self.assign, minlength=self.num_clusters)
 
+    def cluster_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sum of the rows of ``x`` over each cluster, shape (num_clusters, d)."""
+        sums = np.zeros((self.num_clusters, x.shape[1]))
+        np.add.at(sums, self.assign, x)
+        return sums
+
     @staticmethod
     def from_assignment(assign) -> "Partition":
         """Relabel an arbitrary labeling to contiguous ids by first appearance."""
         assign = np.asarray(assign, dtype=np.int64)
-        _, first = np.unique(assign, return_index=True)
-        order = assign[np.sort(first)]
-        remap = {int(c): i for i, c in enumerate(order)}
-        return Partition(np.array([remap[int(c)] for c in assign]), len(remap))
-
-
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    """One-hot cluster membership matrix and its column-normalized form."""
-
-    raw: np.ndarray          # (n, c) one-hot
-    normalized: np.ndarray   # raw / sqrt(cluster size), orthonormal columns
-    cluster_sizes: np.ndarray
-
-    @staticmethod
-    def from_partition(p: Partition) -> "ProjectionMatrix":
-        n = len(p.assign)
-        raw = np.zeros((n, p.num_clusters))
-        raw[np.arange(n), p.assign] = 1.0
-        sizes = p.cluster_sizes().astype(np.float64)
-        return ProjectionMatrix(raw, raw / np.sqrt(sizes), sizes)
+        _, first, inverse = np.unique(assign, return_index=True,
+                                      return_inverse=True)
+        # rank[u] is the position of unique value u in first-appearance order
+        rank = np.empty(len(first), dtype=np.int64)
+        rank[np.argsort(first)] = np.arange(len(first))
+        return Partition(rank[inverse], len(first))
 
 
 def modularity(g: Graph, p: Partition) -> float:
@@ -318,10 +314,7 @@ def build_coarse_graph(g: Graph, p: Partition) -> Graph:
     ce = ce[ce[:, 0] != ce[:, 1]] if len(ce) else ce
     feats = None
     if g.features is not None:
-        sizes = p.cluster_sizes().astype(np.float64)
-        feats = np.zeros((p.num_clusters, g.features.shape[1]))
-        np.add.at(feats, p.assign, g.features)
-        feats /= sizes[:, None]
+        feats = p.cluster_sums(g.features) / p.cluster_sizes()[:, None]
     return make_graph(p.num_clusters, ce, features=feats)
 
 
@@ -329,23 +322,39 @@ def build_coarse_graph(g: Graph, p: Partition) -> Graph:
 class Hierarchy:
     """Coarsening hierarchy: levels[0] is the input graph.
 
-    ``maps[k]`` sends level-k nodes to level-(k+1) clusters. ``projected_features``
-    holds the column-normalized projection chain applied to the input features
-    (X_{k+1} = P^T X_k), which is what the linear attention path consumes;
-    the per-level Graph.features carry plain cluster means instead.
+    ``maps[k]`` sends level-k nodes to level-(k+1) clusters. The per-level
+    Graph.features carry plain cluster means; ``projected_features`` derives
+    the paper's projection chain X_{k+1} = P^T X_k from the input features
+    instead, which is what the linear attention path consumes.
     """
 
     levels: list[Graph]
     maps: list[Partition]
-    projections: list[ProjectionMatrix]
     coarsening_ratios: list[float]
-    projected_features: list[np.ndarray] | None = None
     algo: str = ""
     seed: int = 0
 
     @property
     def max_level(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def projected_features(self) -> list[np.ndarray] | None:
+        """X_0 = levels[0].features and X_{k+1} = P_k^T X_k, one per level.
+
+        P_k is the one-hot matrix of ``maps[k]`` with each column divided by
+        the square root of its cluster size, so P_k^T X_k is the per-cluster
+        sum of X_k over that square root. None when the input graph has no
+        features; recomputed on each access.
+        """
+        x = self.levels[0].features
+        if x is None:
+            return None
+        chain = [x]
+        for part in self.maps:
+            chain.append(part.cluster_sums(chain[-1])
+                         / np.sqrt(part.cluster_sizes())[:, None])
+        return chain
 
     def image(self, k: int) -> np.ndarray:
         """Composed map from level-0 nodes to level-k nodes."""
@@ -382,9 +391,7 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
         raise GraphValidationError(f"unknown coarsening algorithm {algo!r}")
     graphs = [g]
     maps: list[Partition] = []
-    projections: list[ProjectionMatrix] = []
     ratios: list[float] = []
-    proj_feats = [g.features] if g.features is not None else None
     for _ in range(levels):
         cur = graphs[-1]
         if cur.num_nodes <= 1:
@@ -393,51 +400,23 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
         else:
             part = coarsen_once(cur, algo, ratio, seed)
         maps.append(part)
-        proj = ProjectionMatrix.from_partition(part)
-        projections.append(proj)
         ratios.append(part.num_clusters / cur.num_nodes if cur.num_nodes
                       else 1.0)
         graphs.append(build_coarse_graph(cur, part))
-        if proj_feats is not None:
-            proj_feats.append(proj.normalized.T @ proj_feats[-1])
-    return Hierarchy(graphs, maps, projections, ratios,
-                     projected_features=proj_feats,
-                     algo=algo, seed=seed)
+    return Hierarchy(graphs, maps, ratios, algo=algo, seed=seed)
 
 
-def composed_projection(h: Hierarchy, c: int) -> ProjectionMatrix:
-    """One-hot map from level-0 nodes straight to level-c clusters."""
-    if not 1 <= c <= h.max_level:
-        raise GraphValidationError(f"level {c} out of range [1, {h.max_level}]")
-    raw = h.projections[0].raw
-    for proj in h.projections[1:c]:
-        raw = raw @ proj.raw
-    sizes = raw.sum(axis=0)
-    return ProjectionMatrix(raw, raw / np.sqrt(sizes), sizes)
-
-
-def permute_hierarchy(h: Hierarchy, sigma) -> Hierarchy:
+def permute_hierarchy(h: Hierarchy, sigma: NodePermutation) -> Hierarchy:
     """Relabel the base level by sigma, composing sigma into the first map.
 
-    Coarse levels are untouched; no coarsening is re-run. The projected
-    feature chain starts from the permuted base features and keeps the coarse
-    entries, whose clusters are not relabelled.
+    Coarse levels are untouched; no coarsening is re-run.
     """
-    from .graph import permute
-    g0 = permute(h.levels[0], sigma)
-    proj_feats = None
-    if h.projected_features is not None:
-        proj_feats = [g0.features] + list(h.projected_features[1:])
-    inv = sigma.inverse().forward
-    if not h.maps:
-        return Hierarchy([g0], [], [], [], projected_features=proj_feats,
-                         algo=h.algo, seed=h.seed)
-    first = Partition(h.maps[0].assign[inv], h.maps[0].num_clusters)
-    maps = [first] + list(h.maps[1:])
-    projections = [ProjectionMatrix.from_partition(first)] + list(h.projections[1:])
-    return Hierarchy([g0] + list(h.levels[1:]), maps, projections,
-                     list(h.coarsening_ratios), projected_features=proj_feats,
-                     algo=h.algo, seed=h.seed)
+    maps = list(h.maps)
+    if maps:
+        inv = sigma.inverse().forward
+        maps[0] = Partition(maps[0].assign[inv], maps[0].num_clusters)
+    return Hierarchy([permute(h.levels[0], sigma)] + list(h.levels[1:]), maps,
+                     list(h.coarsening_ratios), algo=h.algo, seed=h.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -462,12 +441,10 @@ def hierarchy_from_json(data) -> Hierarchy:
     """Parse ``hierarchy_to_json`` output.
 
     A malformed object raises GraphParseError: wrong types, a map count that
-    is not one less than the level count, or a map whose length differs from
-    the size of its level.
+    is not one less than the level count, a map entry that is not a cluster of
+    the next level, or a map whose length differs from the size of its level.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    obj = json.loads(data)
+    obj = parse_json(data)
     if not (isinstance(obj, dict)
             and all(isinstance(obj.get(key), list)
                     for key in ("levels", "maps", "ratios"))
@@ -485,20 +462,16 @@ def hierarchy_from_json(data) -> Hierarchy:
         raise GraphParseError("hierarchy ratios must be numbers")
     levels = [graph_from_json_dict(d) for d in obj["levels"]]
     for k, a in enumerate(obj["maps"]):
-        if not (isinstance(a, list) and all(_is_int(c) for c in a)):
-            raise GraphParseError(f"map {k} must be a list of integers")
+        c = levels[k + 1].num_nodes
+        if not (isinstance(a, list)
+                and all(_is_int(i) and 0 <= i < c for i in a)):
+            raise GraphParseError(f"map {k} must be a list of cluster ids "
+                                  f"in [0, {c})")
         if len(a) != levels[k].num_nodes:
             raise GraphParseError(f"map {k} has {len(a)} entries, level {k} "
                                   f"has {levels[k].num_nodes} nodes")
     maps = [Partition(np.asarray(a, dtype=np.int64),
                       levels[k + 1].num_nodes)
             for k, a in enumerate(obj["maps"])]
-    projections = [ProjectionMatrix.from_partition(p) for p in maps]
-    proj_feats = None
-    if levels[0].features is not None:
-        proj_feats = [levels[0].features]
-        for proj in projections:
-            proj_feats.append(proj.normalized.T @ proj_feats[-1])
-    return Hierarchy(levels, maps, projections, list(obj["ratios"]),
-                     projected_features=proj_feats,
+    return Hierarchy(levels, maps, list(obj["ratios"]),
                      algo=obj.get("algo", ""), seed=obj.get("seed", 0))

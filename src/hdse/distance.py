@@ -162,8 +162,15 @@ _HEADER = struct.Struct("<4sHIIBB")  # magic, version, rows, cols, levels, clip
 
 
 def write_tensor(entries: np.ndarray, clip: int) -> bytes:
-    """Serialize a (rows, cols, levels) uint8 tensor with a 16-byte header."""
+    """Serialize a (rows, cols, levels) uint8 tensor with a 16-byte header.
+
+    The header stores the level count in one byte, so a tensor of more than
+    255 levels raises GraphValidationError.
+    """
     rows, cols, levels = entries.shape
+    if levels > 255:
+        raise GraphValidationError(
+            f"{levels} levels: the binary tensor format holds at most 255")
     header = _HEADER.pack(_MAGIC, 1, rows, cols, levels, clip)
     return header + np.ascontiguousarray(entries, dtype=np.uint8).tobytes()
 

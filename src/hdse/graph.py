@@ -110,11 +110,19 @@ class NodePermutation:
         return NodePermutation(rng.permutation(n))
 
 
+# Node counts from MAX_NODES up are malformed input: the binary tensor header
+# stores them in 32 bits, and from 2**60 up numpy cannot size an index array.
+MAX_NODES = 2**32
+
+
 def make_graph(num_nodes: int, edges, features=None, labels=None) -> Graph:
     """Build and validate a Graph from an edge list (any iterable of pairs).
 
     Duplicate and reversed edges are collapsed; self-loops are rejected.
     """
+    if num_nodes >= MAX_NODES:
+        raise GraphValidationError(
+            f"{num_nodes} nodes: the limit is {MAX_NODES - 1}")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -182,10 +190,13 @@ def load_edge_list(data) -> Graph:
     """Parse the plain-text edge list format.
 
     Lines: "# comment", optional "n <count>" header, "u v" pairs.
-    Accepts bytes or str.
+    Accepts UTF-8 bytes or str.
     """
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise GraphParseError(f"not UTF-8 text: {e}") from None
     declared_n = None
     edges = []
     for lineno, raw in enumerate(data.splitlines(), start=1):
@@ -227,40 +238,74 @@ def write_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def parse_json(data):
+    """Decode a JSON document from str or UTF-8 bytes.
+
+    Invalid UTF-8, invalid JSON, integers too long to convert and nesting too
+    deep to decode all raise GraphParseError.
+    """
+    try:
+        return json.loads(data.decode("utf-8") if isinstance(data, bytes)
+                          else data)
+    except (ValueError, RecursionError) as e:
+        raise GraphParseError(f"invalid JSON: {e}") from None
+
+
 def load_json_graph(data) -> Graph:
     """Parse the JSON graph format (num_nodes, edges, optional features/labels)."""
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
+    return graph_from_json_dict(parse_json(data))
+
+
+def _json_array(value, kinds: str) -> np.ndarray | None:
+    """A JSON list as a rectangular ndarray whose dtype kind is in ``kinds``.
+
+    Returns None for anything else: not a list, ragged or too deeply nested
+    rows, or elements numpy does not read as one of ``kinds`` (strings,
+    nulls, booleans, integers too large for 64 bits). Empty lists pass with
+    any shape; the caller checks the shape.
+    """
+    if not isinstance(value, list):
+        return None
     try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as e:
-        raise GraphParseError(f"invalid JSON: {e}") from e
-    return graph_from_json_dict(obj)
+        arr = np.asarray(value)
+    except ValueError:  # ragged rows, or more than 64 dimensions
+        return None
+    return arr if arr.size == 0 or arr.dtype.kind in kinds else None
 
 
 def graph_from_json_dict(obj) -> Graph:
     """Build a Graph from a decoded JSON object in the ``to_json_dict`` format.
 
-    ``num_nodes`` must be a non-negative integer and ``edges`` a list of
-    integer pairs; anything else raises GraphParseError.
+    ``num_nodes`` must be a non-negative integer, ``edges`` a list of integer
+    pairs, the optional ``features`` a list of rows of equally many numbers
+    and the optional ``labels`` a list of integers; anything else raises
+    GraphParseError. A feature row or label count other than ``num_nodes``
+    raises GraphValidationError.
     """
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph needs 'num_nodes' and 'edges'")
-    n, edges = obj["num_nodes"], obj["edges"]
+    n = obj["num_nodes"]
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise GraphParseError(
             f"'num_nodes' must be a non-negative integer, got {n!r}")
-    if not isinstance(edges, list):
-        raise GraphParseError("'edges' must be a list of [u, v] pairs")
-    try:
-        arr = np.asarray(edges)
-    except ValueError:  # ragged rows
-        arr = None
-    if edges and (arr is None or arr.ndim != 2 or arr.shape[1] != 2
-                  or arr.dtype.kind not in "iu"):
+    edges = _json_array(obj["edges"], "iu")
+    if edges is None or (len(edges) and edges.shape[1:] != (2,)):
         raise GraphParseError("'edges' must be a list of [u, v] integer pairs")
-    return make_graph(n, arr, features=obj.get("features"),
-                      labels=obj.get("labels"))
+    feats = obj.get("features")
+    if feats is not None:
+        feats = _json_array(feats, "iuf")
+        if feats is not None and feats.shape == (0,):
+            feats = feats.reshape(0, 0)  # no rows at all
+        if feats is None or feats.ndim != 2:
+            raise GraphParseError(
+                "'features' must be a list of rows of equally many numbers")
+    labels = obj.get("labels")
+    if labels is not None:
+        labels = _json_array(labels, "iu")
+        if labels is None or labels.ndim != 1:
+            raise GraphParseError("'labels' must be a list of integers")
+    # make_graph checks that there is one feature row and one label per node
+    return make_graph(n, edges, features=feats, labels=labels)
 
 
 def permute(g: Graph, sigma: NodePermutation) -> Graph:

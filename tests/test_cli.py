@@ -96,6 +96,13 @@ class TestMalformedJson:
         obj["maps"][0] = obj["maps"][0][:-1]
         self.run(tmp_path, "encode", "h.json", obj)
 
+    def test_encode_map_entry_beyond_int64(self, p3_file, tmp_path):
+        out = tmp_path / "full.json"
+        assert main(["coarsen", p3_file, "-K", "1", "-o", str(out)]) == 0
+        obj = json.loads(out.read_text())
+        obj["maps"][0][0] = 2**70
+        self.run(tmp_path, "encode", "h.json", obj)
+
     def test_coarsen_three_column_edges(self, tmp_path):
         self.run(tmp_path, "coarsen", "g.json",
                  {"num_nodes": 3, "edges": [[0, 1, 2], [1, 2, 0]]})
@@ -104,6 +111,72 @@ class TestMalformedJson:
     def test_coarsen_bad_num_nodes(self, num_nodes, edges, tmp_path):
         self.run(tmp_path, "coarsen", "g.json",
                  {"num_nodes": num_nodes, "edges": edges})
+
+    @pytest.mark.parametrize("extra", [
+        {"features": "abc"},
+        {"features": [[1, 2], [3]]},            # ragged rows
+        {"features": [[1, "x"], [3, 4]]},
+        {"labels": [0.5, 1.7]},                 # not truncated to integers
+        {"labels": [0, 1, 2]},
+    ])
+    def test_coarsen_bad_features_or_labels(self, extra, tmp_path):
+        self.run(tmp_path, "coarsen", "g.json",
+                 {"num_nodes": 2, "edges": [[0, 1]], **extra})
+
+    def test_valid_features_and_labels_load(self, tmp_path):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                 "features": [[1, 2.5], [3, 4]],
+                                 "labels": [0, 1]}))
+        out = tmp_path / "h.json"
+        assert main(["coarsen", str(f), "-o", str(out)]) == 0
+        g0 = hierarchy_from_json(out.read_text()).levels[0]
+        np.testing.assert_array_equal(g0.features, [[1, 2.5], [3, 4]])
+        np.testing.assert_array_equal(g0.node_labels, [0, 1])
+
+
+class TestUnreadableInput:
+    """Undecodable text and node counts too large to allocate exit 2.
+
+    Only fixed counts far beyond any machine's memory are used, so the
+    inputs are rejected before anything is allocated.
+    """
+
+    def run(self, tmp_path, command, name, payload: bytes):
+        f = tmp_path / name
+        f.write_bytes(payload)
+        proc = run_cli(command, str(f), "-o", str(tmp_path / "out"),
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("command, name", [
+        ("coarsen", "g.txt"), ("coarsen", "g.json"), ("encode", "h.json")])
+    def test_not_utf8(self, command, name, tmp_path):
+        self.run(tmp_path, command, name, b"\xff\xfe0 1\n")
+
+    @pytest.mark.parametrize("name, payload", [
+        ("id.txt", b"0 99999999999999999999999\n"),
+        ("n.txt", b"n 1000000000000000\n0 1\n"),
+        ("n.json", b'{"num_nodes": 1000000000000000, "edges": []}'),
+    ])
+    def test_node_count_too_large(self, name, payload, tmp_path):
+        self.run(tmp_path, "coarsen", name, payload)
+
+    def test_out_of_memory_exit_2(self, p3_file, tmp_path, monkeypatch,
+                                  capsys):
+        from hdse import distance
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError
+
+        h = tmp_path / "h.json"
+        assert main(["coarsen", p3_file, "-o", str(h)]) == 0
+        monkeypatch.setattr(distance, "hdse", no_memory)
+        capsys.readouterr()
+        assert main(["encode", str(h), "-o", str(tmp_path / "t.bin")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCoarsen:
@@ -171,6 +244,20 @@ class TestEncode:
         obj = json.loads(out.read_text())
         assert obj["shape"] == [3, 3, 1]
 
+    def test_more_than_255_levels(self, p3_file, tmp_path, capsys):
+        h = self.make_hierarchy(p3_file, tmp_path, levels="254")
+        assert main(["encode", h, "-o", str(tmp_path / "t.bin")]) == 0
+        entries, _ = read_tensor((tmp_path / "t.bin").read_bytes())
+        assert entries.shape == (3, 3, 255)
+        for levels in ("255", "256"):
+            h = self.make_hierarchy(p3_file, tmp_path, levels=levels)
+            capsys.readouterr()
+            assert main(["encode", h, "-o", str(tmp_path / "t.bin")]) == 3
+            assert "--format json" in capsys.readouterr().err
+        out = tmp_path / "t.json"
+        assert main(["encode", h, "--format", "json", "-o", str(out)]) == 0
+        assert json.loads(out.read_text())["shape"] == [3, 3, 257]
+
 
 class TestGdwl:
     def test_counterexample_pair_spd_negative(self, tmp_path, dodeca_file):
@@ -236,6 +323,14 @@ class TestGdwl:
             for s in (1, 2))
         assert (f"distinguished under {stable}/3 coarsening seeds"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("flags", [["--levels", "-1"], ["--clip", "0"],
+                                       ["--clip", "300"]])
+    def test_bad_encoding_exit_3(self, flags, p3_file, capsys):
+        capsys.readouterr()
+        assert main(["gdwl", p3_file, p3_file, "--enc", "hdse", *flags]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and out == ""
 
     def test_graph_vs_its_permutation(self, tmp_path, dodeca_file):
         from hdse.graph import NodePermutation, permute, write_edge_list

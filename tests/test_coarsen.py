@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdse.coarsen import (Hierarchy, Partition, ProjectionMatrix,
-                          build_coarse_graph, build_hierarchy,
-                          composed_projection, edge_betweenness,
-                          girvan_newman, heavy_edge_matching, hierarchy_from_json,
+from hdse.coarsen import (Hierarchy, Partition, build_coarse_graph,
+                          build_hierarchy, edge_betweenness, girvan_newman,
+                          heavy_edge_matching, hierarchy_from_json,
                           hierarchy_to_json, louvain, modularity,
                           permute_hierarchy)
 from hdse.graph import GraphValidationError, NodePermutation, make_graph
@@ -30,6 +31,26 @@ def all_partitions(n):
     yield from rec(0, [], 0)
 
 
+def projection_oracle(part):
+    """Dense column-normalized one-hot matrix P of a partition, (n, c)."""
+    raw = np.zeros((len(part.assign), part.num_clusters))
+    raw[np.arange(len(part.assign)), part.assign] = 1.0
+    return raw / np.sqrt(raw.sum(axis=0))
+
+
+def assert_projection_chain(h):
+    """projected_features[k+1] == P_k^T projected_features[k], P_k^T P_k == I."""
+    chain = h.projected_features
+    assert len(chain) == len(h.levels)
+    np.testing.assert_array_equal(chain[0], h.levels[0].features)
+    for k, part in enumerate(h.maps):
+        proj = projection_oracle(part)
+        np.testing.assert_allclose(proj.T @ proj, np.eye(part.num_clusters),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(chain[k + 1], proj.T @ chain[k],
+                                   rtol=0, atol=1e-12)
+
+
 def best_modularity_partition(g):
     best_q, best_a = -np.inf, None
     for assign, num in all_partitions(g.num_nodes):
@@ -37,6 +58,25 @@ def best_modularity_partition(g):
         if q > best_q:
             best_q, best_a = q, assign.copy()
     return best_q, best_a
+
+
+def relabel_by_dict(assign):
+    """First-appearance relabeling through a Python dict (the oracle)."""
+    remap = {}
+    for c in assign:
+        remap.setdefault(int(c), len(remap))
+    return [remap[int(c)] for c in assign], len(remap)
+
+
+class TestFromAssignment:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(-2**62, 2**62) | st.integers(-3, 3),
+                    max_size=40))
+    def test_matches_dict_relabeling(self, labels):
+        part = Partition.from_assignment(labels)
+        want, count = relabel_by_dict(labels)
+        assert part.assign.tolist() == want
+        assert part.num_clusters == count
 
 
 class TestLouvain:
@@ -203,12 +243,8 @@ class TestHierarchy:
         for seed in range(5):
             edges = [(i, j) for i in range(20) for j in range(i + 1, 20)
                      if rng.random() < 0.2]
-            g = make_graph(20, edges)
-            h = build_hierarchy(g, "louvain", 2, seed=seed)
-            for proj in h.projections:
-                gram = proj.normalized.T @ proj.normalized
-                np.testing.assert_allclose(gram, np.eye(gram.shape[0]),
-                                           atol=1e-12)
+            g = make_graph(20, edges, features=rng.standard_normal((20, 3)))
+            assert_projection_chain(build_hierarchy(g, "louvain", 2, seed=seed))
 
     def test_surjectivity_and_coarse_edge_soundness(self):
         rng = np.random.default_rng(1)
@@ -230,12 +266,34 @@ class TestHierarchy:
         feats = np.arange(8, dtype=float)[:, None]
         g = make_graph(8, g.edge_array(), features=feats)
         h = build_hierarchy(g, "louvain", 1, seed=0)
-        expected = h.projections[0].normalized.T @ feats
+        proj = projection_oracle(h.maps[0])
+        expected = proj.T @ feats
         np.testing.assert_allclose(h.projected_features[1], expected)
         # coarse Graph itself carries the plain mean
+        sizes = h.maps[0].cluster_sizes()
         np.testing.assert_allclose(
-            h.levels[1].features * np.sqrt(h.projections[0].cluster_sizes)[:, None],
-            expected)
+            h.levels[1].features * np.sqrt(sizes)[:, None], expected)
+
+    @pytest.mark.parametrize("levels", [0, 1, 2])
+    @pytest.mark.parametrize("algo", ["louvain", "newman", "hem"])
+    def test_projected_features_match_dense_oracle(self, algo, levels):
+        rng = np.random.default_rng(levels)
+        edges = [(i, j) for i in range(16) for j in range(i + 1, 16)
+                 if rng.random() < 0.25]
+        g = make_graph(16, edges, features=rng.standard_normal((16, 4)))
+        h = build_hierarchy(g, algo, levels, seed=levels)
+        hp = permute_hierarchy(h, NodePermutation.random(16, rng))
+        for x in (h, hp, hierarchy_from_json(hierarchy_to_json(h)),
+                  hierarchy_from_json(hierarchy_to_json(hp))):
+            assert_projection_chain(x)
+        # relabelling the base level moves no node to another cluster
+        for got, want in zip(hp.projected_features[1:],
+                             h.projected_features[1:]):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_no_features_no_projection(self):
+        h = build_hierarchy(two_cliques_bridge(4), "louvain", 1)
+        assert h.projected_features is None
 
     @pytest.mark.parametrize("levels", [0, 1, 2])
     def test_permute_keeps_projected_features(self, levels):
@@ -266,33 +324,30 @@ class TestHierarchy:
 
 
 class TestComposedProjection:
+    """``Hierarchy.image(c)`` is the composed level-0 -> level-c map."""
+
     def make_three_level(self):
         g = make_graph(8, [(i, i + 1) for i in range(7)])
         return build_hierarchy(g, "hem", 2, ratio=0.5)
 
     def test_level_one_is_first_projection(self):
         h = self.make_three_level()
-        np.testing.assert_array_equal(composed_projection(h, 1).raw,
-                                      h.projections[0].raw)
+        np.testing.assert_array_equal(h.image(1), h.maps[0].assign)
 
     def test_level_two_composes_assignments(self):
         h = self.make_three_level()
-        proj = composed_projection(h, 2)
-        composed = h.maps[1].assign[h.maps[0].assign]
-        assert np.all(proj.raw.sum(axis=1) == 1)
-        np.testing.assert_array_equal(np.argmax(proj.raw, axis=1), composed)
+        # oracle: product of the dense one-hot matrices of both maps
+        raw = np.sign(projection_oracle(h.maps[0])
+                      @ projection_oracle(h.maps[1]))
+        assert np.all(raw.sum(axis=1) == 1)
+        np.testing.assert_array_equal(h.image(2), np.argmax(raw, axis=1))
+        np.testing.assert_array_equal(h.image(2),
+                                      h.maps[1].assign[h.maps[0].assign])
 
     def test_trivial_middle_level(self):
         g = make_graph(2, [(0, 1)])
         h = build_hierarchy(g, "hem", 2, ratio=0.5)
-        proj = composed_projection(h, 2)
-        assert np.all(np.argmax(proj.raw, axis=1) == 0)
-
-    def test_out_of_range(self):
-        h = self.make_three_level()
-        for c in (0, 3):
-            with pytest.raises(GraphValidationError):
-                composed_projection(h, c)
+        np.testing.assert_array_equal(h.image(2), [0, 0])
 
 
 def test_hierarchy_json_roundtrip():

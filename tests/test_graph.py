@@ -66,6 +66,14 @@ class TestLoadJsonGraph:
         with pytest.raises(GraphValidationError):
             load_json_graph('{"num_nodes":2,"edges":[[0,1]],"features":[[1]]}')
 
+    def test_empty_graph_features_round_trip(self):
+        # an empty featured graph (the levels of an empty hierarchy) writes
+        # "features": [], which has no row to tell the width from
+        g = make_graph(0, [], features=np.zeros((0, 3)), labels=[])
+        back = load_json_graph(json.dumps(g.to_json_dict()))
+        assert back.features.shape == (0, 0)
+        assert back.node_labels.shape == (0,)
+
     def test_bad_json(self):
         with pytest.raises(GraphParseError):
             load_json_graph("{not json")
