@@ -6,8 +6,7 @@ from .graph import (Graph, NodePermutation, GraphParseError,
 from .coarsen import (Hierarchy, Partition, build_coarse_graph, build_hierarchy,
                       girvan_newman, heavy_edge_matching, hierarchy_from_json,
                       hierarchy_to_json, louvain, modularity, permute_hierarchy)
-from .distance import (UNREACHABLE, DistanceMatrix, HdseTensor,
-                       HighLevelHdseTensor, ghd, hdse, high_level_hdse,
+from .distance import (UNREACHABLE, HdseTensor, ghd, hdse, high_level_hdse,
                        read_tensor, spd_all_pairs, write_tensor)
 from .refine import (HdseEncoding, SpdEncoding, distinguishes, gd_wl_refine,
                      make_named_graph, refine_pair)

@@ -74,14 +74,11 @@ def cmd_coarsen(args) -> int:
 def cmd_encode(args) -> int:
     h = _load(args.hierarchy, coarsen.hierarchy_from_json)
     try:
-        if args.base_level:
-            t = distance.high_level_hdse(h, args.base_level, clip=args.clip)
-            entries, clip = t.entries, t.clip
-        else:
-            t = distance.hdse(h, clip=args.clip)
-            entries, clip = t.entries, t.clip
+        t = (distance.high_level_hdse(h, args.base_level, clip=args.clip)
+             if args.base_level else distance.hdse(h, clip=args.clip))
     except graph.GraphValidationError as e:
         raise SystemExitError(EXIT_CONFIG, str(e))
+    entries, clip = t.entries, t.clip
     if args.format == "json":
         _write_output(distance.tensor_to_json(entries, clip) + "\n", args.output)
     else:

@@ -364,17 +364,12 @@ class Hierarchy:
         return img
 
 
-_ALGOS = ("louvain", "newman", "hem")
-
-
-def coarsen_once(g: Graph, algo: str, ratio: float, seed: int) -> Partition:
-    if algo == "louvain":
-        return louvain(g, seed=seed)
-    if algo == "newman":
-        return girvan_newman(g, target=None)
-    if algo == "hem":
-        return heavy_edge_matching(g, ratio)
-    raise GraphValidationError(f"unknown coarsening algorithm {algo!r}")
+# One coarsening step per algorithm name: (graph, ratio, seed) -> Partition.
+_ALGOS = {
+    "louvain": lambda g, ratio, seed: louvain(g, seed=seed),
+    "newman": lambda g, ratio, seed: girvan_newman(g, target=None),
+    "hem": lambda g, ratio, seed: heavy_edge_matching(g, ratio),
+}
 
 
 def build_hierarchy(g: Graph, algo: str, levels: int,
@@ -398,7 +393,7 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
             part = Partition(np.zeros(cur.num_nodes, dtype=np.int64),
                              cur.num_nodes)
         else:
-            part = coarsen_once(cur, algo, ratio, seed)
+            part = _ALGOS[algo](cur, ratio, seed)
         maps.append(part)
         ratios.append(part.num_clusters / cur.num_nodes if cur.num_nodes
                       else 1.0)

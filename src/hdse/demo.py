@@ -21,7 +21,7 @@ import numpy as np
 from .attention import (BiasedAttentionLayer, init_attention_params,
                         init_bias_params)
 from .coarsen import build_hierarchy
-from .distance import hdse, spd_all_pairs, _encode
+from .distance import hdse
 from .graph import Graph
 from .refine import community_pair_graph
 
@@ -66,14 +66,12 @@ class DemoResult:
 
 def _distance_codes(g: Graph, encoding: str, cfg: DemoConfig,
                     seed: int) -> np.ndarray | None:
+    """(n, n, levels) uint8 codes; SPD is HDSE over a zero-level hierarchy."""
     if encoding == "none":
         return None
-    if encoding == "spd":
-        return _encode(spd_all_pairs(g).values, cfg.clip)[:, :, None]
-    if encoding == "hdse":
-        h = build_hierarchy(g, cfg.algo, cfg.levels, seed=seed)
-        return hdse(h, clip=cfg.clip).entries
-    raise ValueError(f"unknown encoding {encoding!r}")
+    levels = 0 if encoding == "spd" else cfg.levels
+    h = build_hierarchy(g, cfg.algo, levels, seed=seed)
+    return hdse(h, clip=cfg.clip).entries
 
 
 def make_dataset(cfg: DemoConfig, seed: int):
@@ -121,15 +119,21 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
         raise ValueError(f"unknown encoding {encoding!r}")
     cfg = cfg or DemoConfig()
     data = make_dataset(cfg, seed)
-    rng = np.random.default_rng(seed + 7)
+    x = np.stack([item["features"] for item in data])
+    labels = np.stack([item["labels"] for item in data])
+    codes = None
+    if encoding != "none":
+        codes = np.stack([_distance_codes(item["graph"], encoding, cfg, seed)
+                          for item in data])
 
+    # codes take no draws from rng, so parameters depend only on the seed
+    rng = np.random.default_rng(seed + 7)
     attn = init_attention_params(cfg.feature_dim, cfg.heads, cfg.head_dim, rng)
     attn.w_q *= cfg.qk_scale
     attn.w_k *= cfg.qk_scale
     bias = None
-    if encoding != "none":
-        levels = 1 if encoding == "spd" else cfg.levels + 1
-        bias = init_bias_params(levels, cfg.clip, cfg.embed_dim,
+    if codes is not None:
+        bias = init_bias_params(codes.shape[-1], cfg.clip, cfg.embed_dim,
                                 cfg.hidden_dim, cfg.heads, rng)
     out_dim = cfg.heads * cfg.head_dim
     n_classes = 2
@@ -138,12 +142,6 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     layer = BiasedAttentionLayer(attn, bias)
     params = [arr for _, arr in layer.parameters()] + [w_c, b_c]
 
-    x = np.stack([item["features"] for item in data])
-    labels = np.stack([item["labels"] for item in data])
-    codes = None
-    if encoding != "none":
-        codes = np.stack([_distance_codes(item["graph"], encoding, cfg, seed)
-                          for item in data])
     batch, n = labels.shape
     masks = {}
     for split in ("train", "val", "test"):

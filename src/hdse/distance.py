@@ -3,12 +3,14 @@
 Distances are unweighted hop counts. All-pairs distances come from one
 multi-source breadth-first search that advances every source together: each
 node holds a bitset with one bit per source, and one hop ORs the bitsets of
-its neighbours over the CSR adjacency. Every hierarchy encoding below is
-built from these per-level distances.
+its neighbours over the CSR adjacency.
 
-Unreachable pairs carry a dedicated sentinel that survives clipping: in the
-integer tensor encoding an unreachable pair is stored as ``clip + 1``,
-distinct from a pair whose true distance saturates at ``clip``.
+Both encodings return one type, ``HdseTensor``: each level's distances are
+solved once, encoded at level size into uint8 codes and gathered onto the
+pairs. Level 0 is the shortest-path distance (SPD), so the clipped SPD
+encoding is the K = 0 slice of ``hdse``. Raw distances mark unreachable
+pairs ``UNREACHABLE``; their code is ``clip + 1``, distinct from a distance
+that saturates at ``clip``.
 """
 
 from __future__ import annotations
@@ -22,24 +24,17 @@ import numpy as np
 from .coarsen import Hierarchy
 from .graph import Graph, GraphValidationError
 
-UNREACHABLE = -1  # sentinel in raw DistanceMatrix values
+UNREACHABLE = -1  # raw distance of a disconnected pair
 
 
-@dataclass(frozen=True)
-class DistanceMatrix:
-    """Square hop-count matrix; UNREACHABLE (-1) marks disconnected pairs."""
+def spd_all_pairs(g: Graph) -> np.ndarray:
+    """Exact all-pairs hop distances as an n x n int32 array.
 
-    values: np.ndarray
-    level: int = 0
-
-
-def spd_all_pairs(g: Graph) -> DistanceMatrix:
-    """Exact all-pairs hop distances by a bit-packed multi-source BFS.
-
-    ``reached[v]`` and ``frontier[v]`` are bitsets over sources, packed into
-    ``ceil(n / 64)`` uint64 words: bit s of ``frontier[v]`` is set when v lies
-    at the current hop distance from s. One hop ORs the frontier rows of each
-    node's neighbours (``reduceat`` over CSR segments, restricted to nodes of
+    Computed by a bit-packed multi-source BFS. ``reached[v]`` and
+    ``frontier[v]`` are bitsets over sources, packed into ``ceil(n / 64)``
+    uint64 words: bit s of ``frontier[v]`` is set when v lies at the current
+    hop distance from s. One hop ORs the frontier rows of each node's
+    neighbours (``reduceat`` over CSR segments, restricted to nodes of
     nonzero degree because ``reduceat`` returns the element at an empty
     segment's start instead of an identity); bits not yet reached are the
     nodes at the next distance. The graph is undirected, so the new-bit mask
@@ -72,86 +67,71 @@ def spd_all_pairs(g: Graph) -> DistanceMatrix:
         new = np.unpackbits(frontier.astype("<u8", copy=False).view(np.uint8),
                             axis=1, count=n, bitorder="little")
         out[new.view(bool)] = d
-    return DistanceMatrix(out, level=0)
+    return out
 
 
-def ghd(h: Hierarchy, k: int) -> DistanceMatrix:
-    """Level-k hierarchy distance between all pairs of base nodes.
+def ghd(h: Hierarchy, k: int) -> np.ndarray:
+    """Level-k hierarchy distance between all pairs of base nodes (int32).
 
     Level 0 is the plain shortest-path distance; level k>0 is the level-k
     shortest-path distance between the nodes' cluster images.
     """
     if not 0 <= k <= h.max_level:
         raise GraphValidationError(f"level {k} out of range [0, {h.max_level}]")
-    spd_k = spd_all_pairs(h.levels[k]).values
     img = h.image(k)
-    return DistanceMatrix(spd_k[np.ix_(img, img)].astype(np.int32), level=k)
-
-
-def _encode(values: np.ndarray, clip: int) -> np.ndarray:
-    """Clip finite distances at ``clip``; unreachable becomes clip + 1."""
-    enc = np.minimum(values, clip)
-    enc[values == UNREACHABLE] = clip + 1
-    return enc
+    return spd_all_pairs(h.levels[k])[np.ix_(img, img)]
 
 
 @dataclass(frozen=True)
 class HdseTensor:
-    """Stacked clipped hierarchy distances, shape (n, n, max_level + 1).
+    """Clipped per-level distance codes, shape (rows, cols, levels), uint8.
 
-    ``entries[i, j, k]`` is min(clip, level-k distance), or ``clip + 1`` for
-    an unreachable pair. Stored as uint8 (clip <= 254 enforced).
+    ``entries[i, j, m]`` is min(clip, d) for the pair's distance d at the
+    m-th encoded level, or ``clip + 1`` for an unreachable pair.
     """
 
     entries: np.ndarray
-    max_level: int
     clip: int
 
-    @property
-    def num_nodes(self) -> int:
-        return self.entries.shape[0]
+
+def _level_codes(g: Graph, clip: int) -> np.ndarray:
+    """One level's clipped distance codes, n x n uint8 (1 <= clip <= 254)."""
+    if clip < 1 or clip > 254:
+        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
+    d = spd_all_pairs(g)
+    np.minimum(d, clip, out=d)  # UNREACHABLE (-1) stays below every clip
+    d[d == UNREACHABLE] = clip + 1
+    return d.astype(np.uint8)
+
+
+def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
+    """Codes from base nodes to level-``base`` nodes at levels base..K."""
+    rows = h.image(base)
+    cols = np.arange(h.levels[base].num_nodes)
+    entries = np.empty((len(rows), len(cols), h.max_level + 1 - base),
+                       dtype=np.uint8)
+    for m, level in enumerate(range(base, h.max_level + 1)):
+        if m:
+            assign = h.maps[level - 1].assign
+            rows, cols = assign[rows], assign[cols]
+        entries[:, :, m] = _level_codes(h.levels[level], clip)[np.ix_(rows, cols)]
+    return HdseTensor(entries, clip)
 
 
 def hdse(h: Hierarchy, clip: int = 30) -> HdseTensor:
-    if clip < 1 or clip > 254:
-        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
-    slices = [_encode(ghd(h, k).values, clip) for k in range(h.max_level + 1)]
-    return HdseTensor(np.stack(slices, axis=2).astype(np.uint8),
-                      h.max_level, clip)
+    """Codes of all base node pairs at every level, (n, n, K + 1); slice 0 is SPD."""
+    return _codes(h, 0, clip)
 
 
-@dataclass(frozen=True)
-class HighLevelHdseTensor:
-    """Node-to-cluster distances, shape (n, |V^c|, max_level + 1 - c)."""
-
-    entries: np.ndarray
-    base_level: int
-    max_level: int
-    clip: int
-
-
-def high_level_hdse(h: Hierarchy, c: int, clip: int = 30) -> HighLevelHdseTensor:
-    """Distances from base nodes to level-c clusters at levels c..max_level.
+def high_level_hdse(h: Hierarchy, c: int, clip: int = 30) -> HdseTensor:
+    """Distances from base nodes to level-c clusters, (n, |V^c|, K + 1 - c).
 
     Slice m holds the level-(c+m) distance between each node's level-(c+m)
     image and the level-(c+m) image of each level-c cluster.
     """
     if not 1 <= c <= h.max_level:
         raise GraphValidationError(f"base level {c} out of range [1, {h.max_level}]")
-    if clip < 1 or clip > 254:
-        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
-    n_clusters = h.levels[c].num_nodes
-    slices = []
-    cluster_img = np.arange(n_clusters)  # level-c cluster -> level-(c+m) node
-    for m in range(h.max_level + 1 - c):
-        level = c + m
-        spd_l = spd_all_pairs(h.levels[level]).values
-        node_img = h.image(level)
-        slices.append(_encode(spd_l[np.ix_(node_img, cluster_img)], clip))
-        if level < h.max_level:
-            cluster_img = h.maps[level].assign[cluster_img]
-    return HighLevelHdseTensor(np.stack(slices, axis=2).astype(np.uint8),
-                               c, h.max_level, clip)
+    return _codes(h, c, clip)
 
 
 # ---------------------------------------------------------------------------

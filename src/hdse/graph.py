@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 
@@ -38,9 +39,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -49,11 +47,6 @@ class Graph:
         us = np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
         mask = us < self.indices
         return np.column_stack([us[mask], self.indices[mask]])
-
-    def has_edge(self, u: int, v: int) -> bool:
-        nbrs = self.neighbors(u)
-        i = np.searchsorted(nbrs, v)
-        return i < len(nbrs) and nbrs[i] == v
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -167,19 +160,18 @@ def validate(g: Graph) -> None:
         raise GraphValidationError("malformed CSR offsets")
     if np.any(np.diff(g.indptr) < 0) or g.indptr[-1] != len(g.indices):
         raise GraphValidationError("CSR offsets not monotone/complete")
-    for u in range(g.num_nodes):
-        nbrs = g.neighbors(u)
-        if len(nbrs) and (nbrs.min() < 0 or nbrs.max() >= g.num_nodes):
-            raise GraphValidationError("neighbor index out of range")
-        if np.any(np.diff(nbrs) <= 0):
-            raise GraphValidationError("neighbor list not strictly ascending")
-        if np.any(nbrs == u):
-            raise GraphValidationError("self-loop detected")
-    # symmetry
-    for u in range(g.num_nodes):
-        for v in g.neighbors(u):
-            if not g.has_edge(int(v), u):
-                raise GraphValidationError(f"edge ({u},{v}) not symmetric")
+    us = np.repeat(np.arange(g.num_nodes), np.diff(g.indptr))
+    vs = g.indices
+    if len(vs) and (vs.min() < 0 or vs.max() >= g.num_nodes):
+        raise GraphValidationError("neighbor index out of range")
+    if np.any(np.diff(vs)[us[1:] == us[:-1]] <= 0):
+        raise GraphValidationError("neighbor list not strictly ascending")
+    if np.any(us == vs):
+        raise GraphValidationError("self-loop detected")
+    # (u, v) pairs are lexsorted now; symmetric iff the (v, u) pairs sort equal
+    rev = np.lexsort((us, vs))
+    if not (np.array_equal(vs[rev], us) and np.array_equal(us[rev], vs)):
+        raise GraphValidationError("adjacency not symmetric")
     if g.features is not None and g.features.shape[0] != g.num_nodes:
         raise GraphValidationError("feature row count mismatch")
     if g.node_labels is not None and g.node_labels.shape != (g.num_nodes,):
@@ -260,9 +252,10 @@ def _json_array(value, kinds: str) -> np.ndarray | None:
     """A JSON list as a rectangular ndarray whose dtype kind is in ``kinds``.
 
     Returns None for anything else: not a list, ragged or too deeply nested
-    rows, or elements numpy does not read as one of ``kinds`` (strings,
-    nulls, booleans, integers too large for 64 bits). Empty lists pass with
-    any shape; the caller checks the shape.
+    rows, elements numpy does not read as one of ``kinds`` (strings, nulls,
+    integers too large for 64 bits), or any boolean, which numpy would read
+    as 0 or 1 next to numbers. Empty lists pass with any shape; the caller
+    checks the shape.
     """
     if not isinstance(value, list):
         return None
@@ -270,17 +263,24 @@ def _json_array(value, kinds: str) -> np.ndarray | None:
         arr = np.asarray(value)
     except ValueError:  # ragged rows, or more than 64 dimensions
         return None
-    return arr if arr.size == 0 or arr.dtype.kind in kinds else None
+    if arr.size == 0:
+        return arr
+    if arr.dtype.kind not in kinds:
+        return None
+    flat = value  # a numeric array is exactly arr.ndim lists deep
+    for _ in range(arr.ndim - 1):
+        flat = itertools.chain.from_iterable(flat)
+    return None if bool in map(type, flat) else arr
 
 
 def graph_from_json_dict(obj) -> Graph:
     """Build a Graph from a decoded JSON object in the ``to_json_dict`` format.
 
     ``num_nodes`` must be a non-negative integer, ``edges`` a list of integer
-    pairs, the optional ``features`` a list of rows of equally many numbers
-    and the optional ``labels`` a list of integers; anything else raises
-    GraphParseError. A feature row or label count other than ``num_nodes``
-    raises GraphValidationError.
+    pairs, the optional ``features`` a list of rows of equally many finite
+    numbers and the optional ``labels`` a list of integers, with no
+    booleans anywhere; anything else raises GraphParseError. A feature row
+    or label count other than ``num_nodes`` raises GraphValidationError.
     """
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph needs 'num_nodes' and 'edges'")
@@ -296,9 +296,9 @@ def graph_from_json_dict(obj) -> Graph:
         feats = _json_array(feats, "iuf")
         if feats is not None and feats.shape == (0,):
             feats = feats.reshape(0, 0)  # no rows at all
-        if feats is None or feats.ndim != 2:
-            raise GraphParseError(
-                "'features' must be a list of rows of equally many numbers")
+        if feats is None or feats.ndim != 2 or not np.isfinite(feats).all():
+            raise GraphParseError("'features' must be a list of rows of "
+                                  "equally many finite numbers")
     labels = obj.get("labels")
     if labels is not None:
         labels = _json_array(labels, "iu")

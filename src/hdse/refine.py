@@ -48,9 +48,9 @@ def _distance_keys(g: Graph, enc: Encoding) -> np.ndarray:
     SPD gives L = 1; HDSE gives L = levels + 1, one hop distance per level.
     """
     if isinstance(enc, SpdEncoding):
-        return spd_all_pairs(g).values[:, :, None]
+        return spd_all_pairs(g)[:, :, None]
     h = build_hierarchy(g, enc.algo, enc.levels, seed=enc.seed)
-    return hdse(h, clip=enc.clip).entries.astype(np.int32)
+    return hdse(h, clip=enc.clip).entries
 
 
 @dataclass
@@ -143,15 +143,13 @@ def _refine_step(pairs: list[np.ndarray],
 
 
 def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two colorings induce the same grouping of nodes."""
-    seen: dict = {}
-    for x, y in zip(a.tolist(), b.tolist()):
-        if x in seen:
-            if seen[x] != y:
-                return False
-        else:
-            seen[x] = y
-    return len(set(seen.values())) == len(seen)
+    """True when two colorings induce the same grouping of nodes.
+
+    They do when the distinct (a, b) color pairs are as many as the distinct
+    colors of a and of b, i.e. when a's and b's classes match one to one.
+    """
+    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
+    return pairs == len(np.unique(a)) == len(np.unique(b))
 
 
 def _refine(graphs: list[Graph], enc: Encoding,

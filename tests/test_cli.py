@@ -118,6 +118,11 @@ class TestMalformedJson:
         {"features": [[1, "x"], [3, 4]]},
         {"labels": [0.5, 1.7]},                 # not truncated to integers
         {"labels": [0, 1, 2]},
+        {"features": [[1, True], [3, 4]]},      # booleans are not numbers
+        {"features": [[1, float("nan")], [3, 4]]},       # written as NaN
+        {"features": [[1, float("inf")], [3, 4]]},       # written as Infinity
+        {"labels": [0, True]},
+        {"edges": [[0, True]]},
     ])
     def test_coarsen_bad_features_or_labels(self, extra, tmp_path):
         self.run(tmp_path, "coarsen", "g.json",

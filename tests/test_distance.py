@@ -40,23 +40,22 @@ def two_cliques_bridge(k=4):
 class TestSpd:
     def test_p3(self):
         g = make_graph(3, [(0, 1), (1, 2)])
-        assert spd_all_pairs(g).values[0, 2] == 2
+        assert spd_all_pairs(g)[0, 2] == 2
 
     def test_disconnected_pair(self):
         g = make_graph(4, [(0, 1), (2, 3)])
-        assert spd_all_pairs(g).values[0, 2] == UNREACHABLE
+        assert spd_all_pairs(g)[0, 2] == UNREACHABLE
 
     def test_matches_floyd_warshall(self):
         g = random_graph(50, 0.1, 7)
-        np.testing.assert_array_equal(spd_all_pairs(g).values,
+        np.testing.assert_array_equal(spd_all_pairs(g),
                                       floyd_warshall(g))
 
 
 def assert_spd_exact(g):
     d = spd_all_pairs(g)
-    assert d.values.dtype == np.int32
-    assert d.level == 0
-    np.testing.assert_array_equal(d.values, floyd_warshall(g))
+    assert d.dtype == np.int32
+    np.testing.assert_array_equal(d, floyd_warshall(g))
 
 
 def path_edges(n):
@@ -91,18 +90,18 @@ class TestSpdKernelOracle:
         g = make_graph(130, [(u, v) for u, v in random_graph(130, 0.2, 3)
                              .edge_array() if comp[u] == comp[v]])
         assert_spd_exact(g)
-        assert spd_all_pairs(g).values[0, 100] == UNREACHABLE
+        assert spd_all_pairs(g)[0, 100] == UNREACHABLE
 
     def test_complete_graph(self):
         n = 70
         g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
         assert_spd_exact(g)
-        assert spd_all_pairs(g).values.max() == 1
+        assert spd_all_pairs(g).max() == 1
 
     def test_path_longer_than_a_word(self):
         g = make_graph(130, path_edges(130))
         assert_spd_exact(g)
-        assert spd_all_pairs(g).values[0, 129] == 129
+        assert spd_all_pairs(g)[0, 129] == 129
 
     @given(st.integers(0, 140),
            st.lists(st.tuples(st.integers(0, 139), st.integers(0, 139)),
@@ -117,14 +116,14 @@ class TestGhd:
     def test_level_zero_is_spd(self):
         g = random_graph(12, 0.3, 1)
         h = build_hierarchy(g, "louvain", 2, seed=0)
-        np.testing.assert_array_equal(ghd(h, 0).values,
-                                      spd_all_pairs(g).values)
+        np.testing.assert_array_equal(ghd(h, 0),
+                                      spd_all_pairs(g))
 
     def test_two_cliques_level_one(self):
         g = two_cliques_bridge(4)
         h = build_hierarchy(g, "louvain", 1, seed=0)
         assert h.levels[1].num_nodes == 2
-        d1 = ghd(h, 1).values
+        d1 = ghd(h, 1)
         img = h.image(1)
         same = img[:, None] == img[None, :]
         assert np.all(d1[same] == 0)
@@ -133,7 +132,7 @@ class TestGhd:
     def test_dodecahedron_newman_has_distance_two(self):
         from hdse.refine import dodecahedron_graph
         h = build_hierarchy(dodecahedron_graph(), "newman", 1)
-        assert np.any(ghd(h, 1).values == 2)
+        assert np.any(ghd(h, 1) == 2)
 
     def test_out_of_range_level(self):
         g = make_graph(3, [(0, 1)])
@@ -147,7 +146,7 @@ class TestHdseTensor:
         g = random_graph(10, 0.3, 2)
         h = build_hierarchy(g, "louvain", 0)
         t = hdse(h, clip=3)
-        spd = spd_all_pairs(g).values
+        spd = spd_all_pairs(g)
         expected = np.minimum(spd, 3)
         expected[spd == UNREACHABLE] = 4
         np.testing.assert_array_equal(t.entries[:, :, 0], expected)
@@ -162,8 +161,8 @@ class TestHdseTensor:
         g = make_graph(5, [(i, i + 1) for i in range(4)])
         h = build_hierarchy(g, "hem", 1, ratio=0.5)
         t = hdse(h, clip=30)
-        np.testing.assert_array_equal(t.entries[:, :, 0], ghd(h, 0).values)
-        np.testing.assert_array_equal(t.entries[:, :, 1], ghd(h, 1).values)
+        np.testing.assert_array_equal(t.entries[:, :, 0], ghd(h, 0))
+        np.testing.assert_array_equal(t.entries[:, :, 1], ghd(h, 1))
 
     def test_dtype_and_bad_clip(self):
         g = make_graph(3, [(0, 1)])
@@ -206,7 +205,7 @@ class TestHighLevelHdse:
         t = high_level_hdse(h, c, clip=30)
         assert t.entries.shape == (16, h.levels[c].num_nodes, 1)
         # node-to-cluster slice must agree with the pairwise level-c distances
-        full = ghd(h, c).values
+        full = ghd(h, c)
         img = h.image(c)
         for i in range(16):
             for j in range(h.levels[c].num_nodes):
@@ -229,15 +228,15 @@ class TestMetricProperties:
             n = 5 + seed % 20
             g = random_graph(n, [0.05, 0.2, 0.5][seed % 3], seed)
             h = build_hierarchy(g, "hem", 1, ratio=0.5)
-            np.testing.assert_array_equal(ghd(h, 0).values,
-                                          spd_all_pairs(g).values)
+            np.testing.assert_array_equal(ghd(h, 0),
+                                          spd_all_pairs(g))
 
     def test_symmetry_zero_diagonal_all_levels(self):
         for seed in range(20):
             g = random_graph(12, 0.3, seed)
             h = build_hierarchy(g, "louvain", 2, seed=seed)
             for k in range(h.max_level + 1):
-                d = ghd(h, k).values
+                d = ghd(h, k)
                 np.testing.assert_array_equal(d, d.T)
                 assert np.all(np.diag(d) == 0)
 
@@ -247,7 +246,7 @@ class TestMetricProperties:
             h = build_hierarchy(g, "louvain", 2, seed=seed)
             n = g.num_nodes
             for k in range(h.max_level + 1):
-                d = ghd(h, k).values.astype(np.int64)
+                d = ghd(h, k).astype(np.int64)
                 finite = d != UNREACHABLE
                 for u in range(n):
                     for v in range(n):
@@ -260,8 +259,8 @@ class TestMetricProperties:
             g = random_graph(12, 0.25, seed + 100)
             h = build_hierarchy(g, "louvain", 2, seed=seed)
             for k in range(h.max_level):
-                dk = ghd(h, k).values
-                dk1 = ghd(h, k + 1).values
+                dk = ghd(h, k)
+                dk1 = ghd(h, k + 1)
                 both = (dk != UNREACHABLE) & (dk1 != UNREACHABLE)
                 assert np.all(dk1[both] <= dk[both])
 
@@ -278,6 +277,71 @@ class TestMetricProperties:
             for i in range(10):
                 for j in range(10):
                     np.testing.assert_array_equal(tp[fwd[i], fwd[j]], t[i, j])
+
+
+def _oracle_encode(values, clip):
+    enc = np.minimum(values, clip)
+    enc[values == UNREACHABLE] = clip + 1
+    return enc
+
+
+def oracle_hdse(h, clip):
+    """The former hdse: one n x n int32 distance stack per level, then cast."""
+    slices = []
+    for k in range(h.max_level + 1):
+        img = h.image(k)
+        spd_k = spd_all_pairs(h.levels[k])[np.ix_(img, img)].astype(np.int32)
+        slices.append(_oracle_encode(spd_k, clip))
+    return np.stack(slices, axis=2).astype(np.uint8)
+
+
+def oracle_high_level_hdse(h, c, clip):
+    """The former high_level_hdse, node-to-cluster slices stacked and cast."""
+    slices = []
+    cluster_img = np.arange(h.levels[c].num_nodes)
+    for m in range(h.max_level + 1 - c):
+        level = c + m
+        spd_l = spd_all_pairs(h.levels[level])
+        node_img = h.image(level)
+        slices.append(_oracle_encode(spd_l[np.ix_(node_img, cluster_img)], clip))
+        if level < h.max_level:
+            cluster_img = h.maps[level].assign[cluster_img]
+    return np.stack(slices, axis=2).astype(np.uint8)
+
+
+def assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_encoders_match_oracles(h):
+    for clip in (1, 254):
+        t = hdse(h, clip=clip)
+        assert t.clip == clip
+        assert_same_bytes(t.entries, oracle_hdse(h, clip))
+        for c in range(1, h.max_level + 1):
+            t = high_level_hdse(h, c, clip=clip)
+            assert t.clip == clip
+            assert_same_bytes(t.entries, oracle_high_level_hdse(h, c, clip))
+
+
+class TestEncodersMatchOracles:
+    """hdse and high_level_hdse are byte-identical to the per-level stacks."""
+
+    @pytest.mark.parametrize("algo", ["louvain", "hem", "newman"])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_tiny_graphs(self, algo, n):
+        for levels in range(4):
+            assert_encoders_match_oracles(
+                build_hierarchy(make_graph(n, []), algo, levels))
+
+    @given(st.integers(2, 24), st.sampled_from([0.1, 0.25, 0.5]),
+           st.integers(0, 10_000), st.sampled_from(["louvain", "hem", "newman"]),
+           st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_random_hierarchies(self, n, p, seed, algo, levels):
+        h = build_hierarchy(random_graph(n, p, seed), algo, levels, seed=seed)
+        assert_encoders_match_oracles(h)
 
 
 class TestTensorFile:

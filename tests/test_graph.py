@@ -143,6 +143,20 @@ def test_validation_rejects_corrupted(n, seed):
             validate(bad)
 
 
+def test_validation_rejects_asymmetric_csr():
+    # 0 lists 1 as a neighbour, but 1 does not list 0
+    bad = Graph(3, np.array([0, 1, 1, 2]), np.array([1, 1]))
+    with pytest.raises(GraphValidationError, match="not symmetric"):
+        validate(bad)
+
+
+def test_validation_rejects_unsorted_neighbours():
+    # symmetric and loop-free, but node 0 lists its neighbours as [2, 1]
+    bad = Graph(3, np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+    with pytest.raises(GraphValidationError, match="ascending"):
+        validate(bad)
+
+
 def test_json_roundtrip_with_labels():
     g = make_graph(4, [(0, 1), (2, 3)], features=[[1.0]] * 4,
                    labels=[0, 0, 1, 1])

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdse import refine
 from hdse.coarsen import build_hierarchy
@@ -208,7 +210,7 @@ class _Interner:
 
 def _oracle_keys(g, enc):
     if isinstance(enc, SpdEncoding):
-        return spd_all_pairs(g).values[:, :, None]
+        return spd_all_pairs(g)[:, :, None]
     h = build_hierarchy(g, enc.algo, enc.levels, seed=enc.seed)
     return hdse(h, clip=enc.clip).entries.astype(np.int32)
 
@@ -239,6 +241,16 @@ def _oracle_same_partition(a, b):
         else:
             seen[x] = y
     return len(set(seen.values())) == len(seen)
+
+
+@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 5), min_size=n, max_size=n),
+    st.lists(st.integers(-2, 3), min_size=n, max_size=n))))
+@settings(max_examples=300, deadline=None)
+def test_same_partition_matches_oracle(colorings):
+    a, b = (np.array(c, dtype=np.int64) for c in colorings)
+    assert refine._same_partition(a, b) == _oracle_same_partition(a, b)
+    assert refine._same_partition(a, a)
 
 
 def oracle_refine_pair(g1, g2, enc):
