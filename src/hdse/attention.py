@@ -3,14 +3,18 @@
 The bias path embeds each level's clipped distance code into a learnable
 table, concatenates the levels, and maps the result through a one-hidden-layer
 ReLU MLP to one scalar per head. That scalar is added to the scaled attention
-logits before the softmax. A linear (cluster-projected) variant attends from
-base nodes to coarse clusters using the node-to-cluster distance tensor.
+logits before the softmax. The bias depends on a pair only through its tuple
+of codes, and pairs share few tuples, so the MLP runs once per distinct tuple
+and its backward pass once per tuple, after summing the gradients of the pairs
+that share it. A linear (cluster-projected) variant attends from base nodes to
+coarse clusters using the node-to-cluster distance tensor.
 
 ``BiasedAttentionLayer`` takes one graph, ``x`` of shape (n, d), or a batch of
 B equal-size graphs, ``x`` of shape (B, n, d) with ``codes`` and ``x_ctx``
-carrying the same leading B axis. A batch runs the bias MLP once over every
-pair of every graph and the attention kernel once per graph; its gradients
-are the sums of the per-graph gradients.
+carrying the same leading B axis. A batch runs the bias MLP once over the
+distinct code tuples of all its graphs and the attention kernel once per
+graph; its gradients are the sums of the per-graph gradients. A graph of no
+nodes gives an empty output and zero gradients.
 
 Everything is plain numpy in float64; backward passes are written by hand and
 checked against central finite differences in the test suite.
@@ -21,6 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .distance import tuple_keys
 
 
 @dataclass
@@ -116,44 +122,54 @@ def bias_matrix(codes: np.ndarray, p: BiasParams):
     """Per-head bias from integer distance codes, shape (rows, cols, heads).
 
     ``codes`` is a (rows, cols, levels) array of clipped distance codes in
-    [0, clip + 1]. Returns (bias, cache) where cache feeds bias_backward.
+    [0, clip + 1]. A pair's bias depends only on its tuple of codes, so the
+    embedding and MLP run once per distinct tuple, giving a (tuples, heads)
+    table that is gathered onto the pairs. Returns (bias, cache) where cache
+    feeds bias_backward.
     """
     codes = np.asarray(codes)
     if codes.ndim != 3 or codes.shape[2] != p.levels:
         raise ValueError(f"expected (rows, cols, {p.levels}) codes, "
                          f"got {codes.shape}")
-    if codes.min() < 0 or codes.max() > p.clip + 1:
+    if codes.size and (codes.min() < 0 or codes.max() > p.clip + 1):
         raise ValueError(f"distance code outside [0, {p.clip + 1}]")
     rows, cols, levels = codes.shape
-    # (rows, cols, levels, embed_dim) -> concat levels
-    gathered = p.embeddings[np.arange(levels), codes]
-    cat = gathered.reshape(rows, cols, levels * p.embeddings.shape[2])
+    flat = codes.reshape(rows * cols, levels)
+    keys, inverse = np.unique(tuple_keys(flat), return_inverse=True)
+    tuples = np.empty((len(keys), levels), dtype=codes.dtype)
+    tuples[inverse] = flat  # pairs of one tuple write the same row
+    # (tuples, levels, embed_dim) -> concat levels
+    cat = p.embeddings[np.arange(levels), tuples].reshape(
+        len(tuples), levels * p.embeddings.shape[2])
     pre = cat @ p.w1 + p.b1
     hid = np.maximum(pre, 0.0)
-    bias = hid @ p.w2 + p.b2
-    cache = {"codes": codes, "cat": cat, "pre": pre, "hid": hid, "params": p}
+    table = hid @ p.w2 + p.b2
+    bias = table[inverse].reshape(rows, cols, p.heads)
+    cache = {"tuples": tuples, "inverse": inverse, "cat": cat, "pre": pre,
+             "hid": hid, "params": p}
     return bias, cache
 
 
 def bias_backward(d_bias: np.ndarray, cache: dict):
     """Gradients of the bias function; returns (d_embeddings, d_w1, d_b1, d_w2, d_b2)."""
     p: BiasParams = cache["params"]
-    codes, cat, pre, hid = (cache["codes"], cache["cat"], cache["pre"],
-                            cache["hid"])
-    rows, cols, levels = codes.shape
-    embed_dim = p.embeddings.shape[2]
-    d_w2 = np.einsum("ijh,ijo->ho", hid, d_bias)
-    d_b2 = d_bias.sum(axis=(0, 1))
-    d_hid = d_bias @ p.w2.T
-    d_pre = d_hid * (pre > 0)
-    d_w1 = np.einsum("ijc,ijh->ch", cat, d_pre)
-    d_b1 = d_pre.sum(axis=(0, 1))
-    d_cat = d_pre @ p.w1.T
-    d_gathered = d_cat.reshape(rows, cols, levels, embed_dim)
+    tuples, inverse, cat, pre, hid = (cache["tuples"], cache["inverse"],
+                                      cache["cat"], cache["pre"], cache["hid"])
+    levels, _, embed_dim = p.embeddings.shape
+    # every pair adds its bias gradient to the table row of its tuple
+    d_pairs = d_bias.reshape(len(inverse), p.heads)
+    d_table = np.empty((len(tuples), p.heads))
+    for h in range(p.heads):
+        d_table[:, h] = np.bincount(inverse, weights=d_pairs[:, h],
+                                    minlength=len(tuples))
+    d_w2 = hid.T @ d_table
+    d_b2 = d_table.sum(axis=0)
+    d_pre = (d_table @ p.w2.T) * (pre > 0)
+    d_w1 = cat.T @ d_pre
+    d_b1 = d_pre.sum(axis=0)
+    d_cat = (d_pre @ p.w1.T).reshape(len(tuples), levels, embed_dim)
     d_emb = np.zeros_like(p.embeddings)
-    for k in range(levels):
-        np.add.at(d_emb[k], codes[:, :, k].ravel(),
-                  d_gathered[:, :, k].reshape(-1, embed_dim))
+    np.add.at(d_emb, (np.arange(levels), tuples), d_cat)
     return d_emb, d_w1, d_b1, d_w2, d_b2
 
 
@@ -161,7 +177,8 @@ def bias_backward(d_bias: np.ndarray, cache: dict):
 # Attention
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # initial=-inf lets a graph of no nodes (rows of no entries) pass through
+    shifted = logits - logits.max(axis=-1, keepdims=True, initial=-np.inf)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
 
@@ -189,7 +206,8 @@ def attention_forward(x: np.ndarray, params: AttentionParams,
                              f"({x.shape[0]}, {ctx.shape[0]}, {params.heads})")
         logits = logits + bias.transpose(2, 0, 1)
     attn = _softmax_rows(logits)
-    out = (attn @ v).transpose(1, 0, 2).reshape(x.shape[0], -1)
+    out = (attn @ v).transpose(1, 0, 2).reshape(
+        x.shape[0], params.heads * params.head_dim)
     cache = {"x": x, "ctx": ctx, "q": q, "k": k, "v": v, "attn": attn,
              "scale": scale, "params": params, "biased": bias is not None}
     return out, cache
@@ -264,7 +282,7 @@ class BiasedAttentionLayer:
             # the MLP acts on each pair alone, so one call covers the batch
             flat, bias_cache = bias_matrix(stacked.reshape(b * n, m, levels),
                                            self.bias)
-            biases = flat.reshape(b, n, m, -1)
+            biases = flat.reshape(b, n, m, self.bias.heads)
         outs, attn_caches = [], []
         for xi, bi, ci in zip(xs, biases, ctxs):
             out, cache = attention_forward(xi, self.attn, bi, ci)

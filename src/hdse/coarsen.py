@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -432,12 +432,34 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_quotient(g: Graph, part: Partition, coarse: Graph) -> bool:
+    """True when ``coarse`` is ``build_coarse_graph(g, part)``.
+
+    Edges, labels and feature shapes must match exactly. A feature mean may
+    differ by rounding, because its sum depends on the order of g's nodes and
+    ``permute_hierarchy`` reorders them without rebuilding coarse levels: by
+    at most 4 * n * eps times the cluster's mean absolute feature, which
+    bounds the rounding of two sums of at most n terms.
+    """
+    rebuilt = build_coarse_graph(g, part)
+    if (rebuilt.features is None or coarse.features is None
+            or rebuilt.features.shape != coarse.features.shape):
+        return rebuilt == coarse
+    if replace(rebuilt, features=coarse.features) != coarse:
+        return False
+    scale = part.cluster_sums(np.abs(g.features)) / part.cluster_sizes()[:, None]
+    slack = 4 * g.num_nodes * np.finfo(np.float64).eps * scale
+    return bool(np.all(np.abs(rebuilt.features - coarse.features) <= slack))
+
+
 def hierarchy_from_json(data) -> Hierarchy:
     """Parse ``hierarchy_to_json`` output.
 
     A malformed object raises GraphParseError: wrong types, a map count that
     is not one less than the level count, a map entry that is not a cluster of
-    the next level, or a map whose length differs from the size of its level.
+    the next level, a map whose length differs from the size of its level, or
+    a level that is not ``build_coarse_graph`` of the level below under its
+    map.
     """
     obj = parse_json(data)
     if not (isinstance(obj, dict)
@@ -468,5 +490,9 @@ def hierarchy_from_json(data) -> Hierarchy:
     maps = [Partition(np.asarray(a, dtype=np.int64),
                       levels[k + 1].num_nodes)
             for k, a in enumerate(obj["maps"])]
+    for k, part in enumerate(maps):
+        if not _is_quotient(levels[k], part, levels[k + 1]):
+            raise GraphParseError(f"level {k + 1} is not the quotient of "
+                                  f"level {k} under map {k}")
     return Hierarchy(levels, maps, list(obj["ratios"]),
                      algo=obj.get("algo", ""), seed=obj.get("seed", 0))

@@ -94,6 +94,36 @@ class HdseTensor:
     clip: int
 
 
+# Folded keys are re-densified once their bound passes this, so that a key
+# times the next column's span stays far inside int64.
+_KEY_LIMIT = 2 ** 32
+
+
+def tuple_keys(rows: np.ndarray) -> np.ndarray:
+    """One int64 key per row of a 2-D integer array: equal rows, equal keys.
+
+    Columns are folded into the key in turn: key * span + (value - lo), with
+    lo the column minimum (or 0 if that is larger) and span the count of
+    values from lo to the maximum, so distinct rows get distinct keys. The
+    running key is re-densified with ``np.unique`` whenever its bound passes
+    ``_KEY_LIMIT``. So for any number of columns, each spanning fewer than
+    2**31 values, and fewer than 2**31 rows, no product overflows and every
+    key lies in [0, max(_KEY_LIMIT, len(rows))).
+    """
+    keys = np.zeros(len(rows), dtype=np.int64)
+    bound = 1  # keys < bound
+    for col in rows.T:
+        col = col.astype(np.int64)
+        lo = col.min(initial=0)
+        span = int(col.max(initial=0) - lo) + 1
+        keys = keys * span + (col - lo)
+        bound *= span
+        if bound > _KEY_LIMIT:
+            uniq, keys = np.unique(keys, return_inverse=True)
+            bound = len(uniq)
+    return keys
+
+
 def _level_codes(g: Graph, clip: int) -> np.ndarray:
     """One level's clipped distance codes, n x n uint8 (1 <= clip <= 254)."""
     if clip < 1 or clip > 254:
@@ -145,14 +175,20 @@ def write_tensor(entries: np.ndarray, clip: int) -> bytes:
     """Serialize a (rows, cols, levels) uint8 tensor with a 16-byte header.
 
     The header stores the level count in one byte, so a tensor of more than
-    255 levels raises GraphValidationError.
+    255 levels raises GraphValidationError, as do entries of another dtype
+    (they would read back as uint8) and a clip outside [1, 254].
     """
     rows, cols, levels = entries.shape
     if levels > 255:
         raise GraphValidationError(
             f"{levels} levels: the binary tensor format holds at most 255")
+    if entries.dtype != np.uint8:
+        raise GraphValidationError(f"tensor entries must be uint8, "
+                                   f"got {entries.dtype}")
+    if not 1 <= clip <= 254:
+        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
     header = _HEADER.pack(_MAGIC, 1, rows, cols, levels, clip)
-    return header + np.ascontiguousarray(entries, dtype=np.uint8).tobytes()
+    return header + np.ascontiguousarray(entries).tobytes()
 
 
 def read_tensor(data: bytes) -> tuple[np.ndarray, int]:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coarsen import build_hierarchy
-from .distance import hdse, spd_all_pairs
+from .distance import hdse, spd_all_pairs, tuple_keys
 from .graph import Graph, GraphValidationError, make_graph
 
 
@@ -72,11 +72,6 @@ class ColorMap:
         return Counter(self.final.tolist())
 
 
-# Pair ids are re-densified once their bound passes this, so that
-# pair * base + color stays far inside int64 (base is the color count).
-_ID_LIMIT = 2 ** 32
-
-
 def _dense_rows(blocks: list[np.ndarray]) -> list[np.ndarray]:
     """Dense ids of the rows of 2-D arrays, jointly: equal rows share an id.
 
@@ -104,21 +99,10 @@ def _dense_rows(blocks: list[np.ndarray]) -> list[np.ndarray]:
 def _pair_ids(keys: list[np.ndarray]) -> list[np.ndarray]:
     """(n, n) id per node pair, jointly: equal distance keys share an id.
 
-    Key columns are folded into one int64 in turn, and the running id is
-    re-densified with ``np.unique`` whenever its bound passes ``_ID_LIMIT``.
-    No product can overflow for any level count <= 255 or any n.
+    Ids come from ``tuple_keys`` over all pairs of all graphs, so they are
+    below 2**32 or the total pair count.
     """
-    flat = np.concatenate([k.reshape(-1, k.shape[-1]) for k in keys])
-    ids = np.zeros(len(flat), dtype=np.int64)
-    bound = 1  # ids < bound
-    for col in flat.T.astype(np.int64):
-        lo = col.min(initial=0)
-        span = int(col.max(initial=0) - lo) + 1
-        ids = ids * span + (col - lo)
-        bound *= span
-        if bound > _ID_LIMIT:
-            uniq, ids = np.unique(ids, return_inverse=True)
-            bound = len(uniq)
+    ids = tuple_keys(np.concatenate([k.reshape(-1, k.shape[-1]) for k in keys]))
     sizes = [len(k) for k in keys]
     parts = np.split(ids, np.cumsum([n * n for n in sizes])[:-1])
     return [part.reshape(n, n) for part, n in zip(parts, sizes)]

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hdse import distance
 from hdse.attention import (AttentionParams, BiasParams, BiasedAttentionLayer,
-                            attention_forward, bias_matrix,
+                            attention_forward, bias_backward, bias_matrix,
                             init_attention_params, init_bias_params)
 from hdse.coarsen import build_hierarchy
 from hdse.distance import hdse, high_level_hdse
@@ -27,6 +30,55 @@ def reference_attention(x, params, bias, x_ctx=None):
             rows.append(e / e.sum())
         outs.append(np.array(rows) @ v)
     return np.concatenate(outs, axis=1)
+
+
+def oracle_bias_matrix(codes, p):
+    """Per-pair bias: embed and run the MLP on every pair separately."""
+    codes = np.asarray(codes)
+    rows, cols, levels = codes.shape
+    gathered = p.embeddings[np.arange(levels), codes]
+    cat = gathered.reshape(rows, cols, levels * p.embeddings.shape[2])
+    pre = cat @ p.w1 + p.b1
+    hid = np.maximum(pre, 0.0)
+    bias = hid @ p.w2 + p.b2
+    cache = {"codes": codes, "cat": cat, "pre": pre, "hid": hid, "params": p}
+    return bias, cache
+
+
+def oracle_bias_backward(d_bias, cache):
+    """Per-pair backward of oracle_bias_matrix, scattering with np.add.at."""
+    p = cache["params"]
+    codes, cat, pre, hid = (cache["codes"], cache["cat"], cache["pre"],
+                            cache["hid"])
+    rows, cols, levels = codes.shape
+    embed_dim = p.embeddings.shape[2]
+    d_w2 = np.einsum("ijh,ijo->ho", hid, d_bias)
+    d_b2 = d_bias.sum(axis=(0, 1))
+    d_hid = d_bias @ p.w2.T
+    d_pre = d_hid * (pre > 0)
+    d_w1 = np.einsum("ijc,ijh->ch", cat, d_pre)
+    d_b1 = d_pre.sum(axis=(0, 1))
+    d_cat = d_pre @ p.w1.T
+    d_gathered = d_cat.reshape(rows, cols, levels, embed_dim)
+    d_emb = np.zeros_like(p.embeddings)
+    for k in range(levels):
+        np.add.at(d_emb[k], codes[:, :, k].ravel(),
+                  d_gathered[:, :, k].reshape(-1, embed_dim))
+    return d_emb, d_w1, d_b1, d_w2, d_b2
+
+
+def assert_bias_matches_oracle(codes, p, rng):
+    """Bias within 1e-12 and every gradient within rtol 1e-10 of the oracle."""
+    bias, cache = bias_matrix(codes, p)
+    want, want_cache = oracle_bias_matrix(codes, p)
+    assert bias.shape == want.shape
+    np.testing.assert_allclose(bias, want, rtol=0, atol=1e-12)
+    d_bias = rng.standard_normal(bias.shape)
+    got = bias_backward(d_bias, cache)
+    for g, w in zip(got, oracle_bias_backward(d_bias, want_cache)):
+        assert g.shape == w.shape
+        np.testing.assert_allclose(g, w, rtol=1e-10)
+    return cache
 
 
 def small_params(rng, model_dim=5, heads=2, head_dim=3):
@@ -69,6 +121,71 @@ class TestBiasMatrix:
         p = init_bias_params(1, 5, 4, 4, 2, rng)
         with pytest.raises(ValueError):
             bias_matrix(np.full((2, 2, 1), 7), p)
+
+
+def _distinct_codes(levels, clip, limit=400):
+    """(1, n, levels) codes whose n tuples are all different."""
+    radix = clip + 2
+    n = min(radix ** levels, limit)
+    digits = np.arange(n)[:, None] // radix ** np.arange(levels) % radix
+    return digits.reshape(1, n, levels)
+
+
+class TestBiasMatchesOracle:
+    @pytest.mark.parametrize("levels", [1, 3])
+    @pytest.mark.parametrize("clip", [1, 254])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("kind", ["random", "same", "distinct"])
+    def test_cases(self, levels, clip, dtype, kind):
+        rng = np.random.default_rng(levels * 1000 + clip)
+        p = init_bias_params(levels, clip, 3, 4, 2, rng)
+        if kind == "random":
+            codes = rng.integers(0, clip + 2, (6, 7, levels))
+        elif kind == "same":
+            codes = np.broadcast_to(rng.integers(0, clip + 2, levels),
+                                    (6, 7, levels))
+        else:
+            codes = _distinct_codes(levels, clip)
+        codes = codes.astype(dtype)
+        cache = assert_bias_matches_oracle(codes, p, rng)
+        flat = codes.reshape(-1, levels)
+        assert len(cache["tuples"]) == len(np.unique(flat, axis=0))
+        if kind == "same":
+            assert len(cache["tuples"]) == 1
+        if kind == "distinct":
+            assert len(cache["tuples"]) == len(flat)
+
+    def test_nine_levels_re_densify(self):
+        # every column spans 0..255, so the folded key passes its limit;
+        # rows 0 and 1 differ only in level 0, which a key wrapped past
+        # 2**64 would drop
+        rng = np.random.default_rng(30)
+        p = init_bias_params(9, 254, 2, 3, 2, rng)
+        codes = rng.integers(0, 256, (20, 20, 9)).astype(np.uint8)
+        codes[0, 0], codes[0, 1] = 0, 255
+        codes[1] = codes[0]
+        codes[1, :, 0] += 1
+        spans = np.ptp(codes.reshape(-1, 9).astype(np.int64), axis=0) + 1
+        assert np.prod(spans.astype(float)) > distance._KEY_LIMIT
+        cache = assert_bias_matches_oracle(codes, p, rng)
+        assert len(cache["tuples"]) == len(np.unique(codes.reshape(-1, 9),
+                                                     axis=0))
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.integers(1, 8), cols=st.integers(1, 8),
+           levels=st.integers(1, 4), clip=st.sampled_from([1, 2, 5, 30, 254]),
+           embed=st.integers(1, 3), hidden=st.integers(1, 4),
+           heads=st.integers(1, 3), spread=st.integers(0, 256),
+           seed=st.integers(0, 2 ** 16))
+    def test_random_shapes(self, rows, cols, levels, clip, embed, hidden,
+                           heads, spread, seed):
+        rng = np.random.default_rng(seed)
+        p = init_bias_params(levels, clip, embed, hidden, heads, rng)
+        p.b1 += rng.standard_normal(hidden)
+        p.b2 += rng.standard_normal(heads)
+        codes = rng.integers(0, min(spread, clip + 1) + 1,
+                             (rows, cols, levels))
+        assert_bias_matches_oracle(codes, p, rng)
 
 
 class TestForward:
@@ -360,3 +477,28 @@ class TestBatchedLayer:
             layer.forward(x[0], rng.integers(0, 7, (1, 4, 4, 2)))
         with pytest.raises(ValueError):
             layer.forward(x, x_ctx=rng.standard_normal((3, 5)))
+
+
+class TestEmptyGraph:
+    @pytest.mark.parametrize("with_codes", [True, False])
+    @pytest.mark.parametrize("batch", [None, 2])
+    def test_forward_empty_backward_zero(self, with_codes, batch):
+        rng = np.random.default_rng(25)
+        attn = init_attention_params(5, 2, 3, rng)
+        layer = BiasedAttentionLayer(attn, init_bias_params(2, 30, 3, 3, 2,
+                                                            rng))
+        # hdse of an empty hierarchy: (0, 0, 2) codes
+        h = build_hierarchy(make_graph(0, []), "louvain", 1)
+        codes = hdse(h).entries if with_codes else None
+        lead = () if batch is None else (batch,)
+        x = np.empty(lead + (0, 5))
+        if batch is not None and codes is not None:
+            codes = np.stack([codes] * batch)
+        out = layer.forward(x, codes)
+        assert out.shape == lead + (0, 6)
+        g = layer.backward(np.empty(lead + (0, 6)))
+        for name, arr in layer.parameters():
+            grad = getattr(g, name)
+            assert np.all(grad == 0.0)
+            if with_codes or name.startswith("w_"):
+                assert grad.shape == arr.shape

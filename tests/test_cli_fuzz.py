@@ -2,8 +2,10 @@
 
 Every subcommand is called in-process on generated files. No exception may
 escape ``main``; ``coarsen``, ``encode`` and ``named-graph`` return 0, 2 or 3,
-and only ``gdwl`` may return 1 (a negative verdict). Node counts and ids are
-kept small so that every example runs in milliseconds.
+and only ``gdwl`` may return 1 (a negative verdict). A well-formed hierarchy
+whose coarse levels are not the quotients of the levels below is a parse
+error (2). Node counts and ids are kept small so that every example runs in
+milliseconds.
 """
 
 import copy
@@ -96,6 +98,44 @@ def test_coarsen(tmp_path_factory, payload, suffix):
 def test_encode(tmp_path_factory, payload):
     rc = run(tmp_path_factory, lambda f: ["encode", f], payload, ".json")
     assert rc in (0, 2, 3)
+
+
+@st.composite
+def inconsistent_hierarchy(draw):
+    """A valid hierarchy whose level k is no longer the quotient of level
+    k - 1 under map k - 1: one coarse edge toggled, one coarse feature moved,
+    coarse features dropped, coarse labels added, or one node sent to another
+    cluster (which moves two cluster means, or empties a cluster)."""
+    obj = valid_hierarchy_dict(draw(st.integers(0, 50)))
+    k = draw(st.integers(1, len(obj["levels"]) - 1))
+    level, n = obj["levels"][k], obj["levels"][k]["num_nodes"]
+    kinds = ["feature", "drop features", "labels"]
+    kinds += ["edge", "map"] if n > 1 else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "feature":
+        row = draw(st.sampled_from(level["features"]))
+        j = draw(st.integers(0, len(row) - 1))
+        row[j] += draw(st.sampled_from([1.0, -0.5, 1e-6]))
+    elif kind == "drop features":
+        del level["features"]
+    elif kind == "labels":
+        level["labels"] = [0] * n
+    elif kind == "edge":
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
+                                    max_size=2, unique=True)))
+        level["edges"] = sorted(set(map(tuple, level["edges"])) ^ {(u, v)})
+    else:
+        m = obj["maps"][k - 1]
+        i = draw(st.integers(0, len(m) - 1))
+        m[i] = (m[i] + draw(st.integers(1, n - 1))) % n
+    return json.dumps(obj).encode()
+
+
+@FUZZ
+@given(payload=inconsistent_hierarchy())
+def test_encode_rejects_inconsistent_hierarchy(tmp_path_factory, payload):
+    rc = run(tmp_path_factory, lambda f: ["encode", f], payload, ".json")
+    assert rc == 2
 
 
 @FUZZ

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,8 @@ from hdse.coarsen import (Hierarchy, Partition, build_coarse_graph,
                           heavy_edge_matching, hierarchy_from_json,
                           hierarchy_to_json, louvain, modularity,
                           permute_hierarchy)
-from hdse.graph import GraphValidationError, NodePermutation, make_graph
+from hdse.graph import (GraphParseError, GraphValidationError,
+                        NodePermutation, make_graph)
 
 
 def two_cliques_bridge(k=4):
@@ -360,3 +363,73 @@ def test_hierarchy_json_roundtrip():
     for a, b in zip(h.maps, h2.maps):
         assert np.array_equal(a.assign, b.assign)
     assert h2.algo == h.algo and h2.seed == h.seed
+
+
+def assert_same_bytes(a, b):
+    """Equal dtype, shape and bytes; -0.0 and 0.0 differ, as they do on disk."""
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_hierarchies_identical(a, b):
+    assert len(a.levels) == len(b.levels)
+    for ga, gb in zip(a.levels, b.levels):
+        assert ga.num_nodes == gb.num_nodes
+        assert_same_bytes(ga.indptr, gb.indptr)
+        assert_same_bytes(ga.indices, gb.indices)
+        for x, y in ((ga.features, gb.features),
+                     (ga.node_labels, gb.node_labels)):
+            assert (x is None) == (y is None)
+            if x is not None and len(x) == 0:
+                # "features": [] has no row to carry the width, so a feature
+                # matrix of no rows reads back as (0, 0): it holds no value
+                assert len(y) == 0 and x.dtype == y.dtype
+            elif x is not None:
+                assert_same_bytes(x, y)
+    assert len(a.maps) == len(b.maps)
+    for pa, pb in zip(a.maps, b.maps):
+        assert_same_bytes(pa.assign, pb.assign)
+        assert pa.num_clusters == pb.num_clusters
+    assert [(type(r), r) for r in a.coarsening_ratios] == \
+        [(type(r), r) for r in b.coarsening_ratios]
+    assert (a.algo, a.seed) == (b.algo, b.seed)
+
+
+@st.composite
+def hierarchies(draw):
+    """Library-built hierarchies of small random graphs, any feature values,
+    optionally with the base relabelled, and any algorithm name and seed."""
+    n = draw(st.integers(0, 10))
+    seed = draw(st.integers(0, 2 ** 16))
+    rng = np.random.default_rng(seed)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.35]
+    features = None
+    if draw(st.booleans()):
+        d = draw(st.integers(0, 3))
+        values = draw(st.lists(st.floats(width=64), min_size=n * d,
+                               max_size=n * d))
+        features = np.array(values, dtype=np.float64).reshape(n, d)
+    labels = draw(st.none() | st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                       min_size=n, max_size=n))
+    g = make_graph(n, edges, features=features, labels=labels)
+    algo = draw(st.sampled_from(["louvain", "newman", "hem"]))
+    with np.errstate(all="ignore"):  # cluster means may overflow to inf
+        h = build_hierarchy(g, algo, draw(st.integers(0, 3)), seed=seed)
+    if draw(st.booleans()):
+        h = permute_hierarchy(h, NodePermutation.random(n, rng))
+    return replace(h, algo=draw(st.text(max_size=5)), seed=draw(st.integers()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(hierarchies())
+def test_json_round_trip_is_exact_or_rejected(h):
+    with np.errstate(all="ignore"):
+        try:
+            back = hierarchy_from_json(hierarchy_to_json(h))
+        except GraphParseError:
+            # JSON carries only finite features; nothing else may be refused
+            assert not all(np.isfinite(g.features).all() for g in h.levels
+                           if g.features is not None)
+            return
+    assert_hierarchies_identical(h, back)

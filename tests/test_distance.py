@@ -354,6 +354,27 @@ class TestTensorFile:
         assert clip == 30
         np.testing.assert_array_equal(entries, t.entries)
 
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.tuples(st.integers(0, 5), st.integers(0, 5),
+                           st.sampled_from([0, 1, 3, 255, 256])),
+           clip=st.integers(-2, 300),
+           dtype=st.sampled_from([np.uint8, np.int32, np.int64]),
+           seed=st.integers(0, 2 ** 16))
+    def test_round_trip_is_exact_or_rejected(self, shape, clip, dtype, seed):
+        entries = np.random.default_rng(seed).integers(0, 300, shape)
+        entries = entries.astype(dtype)
+        try:
+            back, back_clip = read_tensor(write_tensor(entries, clip))
+        except GraphValidationError:
+            # refused: not a uint8 tensor, a clip outside [1, 254] or more
+            # levels than the one-byte header field holds
+            assert (dtype != np.uint8 or not 1 <= clip <= 254
+                    or shape[2] > 255)
+            return
+        assert back_clip == clip
+        assert back.dtype == entries.dtype and back.shape == entries.shape
+        assert back.tobytes() == entries.tobytes()
+
     def test_header_magic_checked(self):
         with pytest.raises(GraphValidationError):
             read_tensor(b"XXXX" + bytes(12))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdse import refine
+from hdse import distance, refine
 from hdse.coarsen import build_hierarchy
 from hdse.distance import hdse, spd_all_pairs
 from hdse.graph import GraphValidationError, NodePermutation, make_graph, permute
@@ -388,7 +388,7 @@ class TestRefineOracle:
         g2 = changed(g1, "rewired", rng)
         keys = _oracle_keys(g1, enc)
         spans = np.ptp(keys.reshape(-1, keys.shape[-1]), axis=0) + 1
-        assert np.prod(spans.astype(float)) > refine._ID_LIMIT
+        assert np.prod(spans.astype(float)) > distance._KEY_LIMIT
         assert_matches_oracle(g1, g2, enc)
         assert_matches_oracle(g1, permute(g1, NodePermutation.random(n, rng)),
                               enc)
