@@ -6,7 +6,8 @@ view and is never built (see ``Hierarchy.projected_features``).
 
 Three partitioners are provided: greedy modularity (Louvain), edge-betweenness
 splitting (Girvan-Newman) and repeated maximal matching (METIS-style). All are
-deterministic for a fixed seed.
+deterministic for a fixed seed. Every contraction by an ``assign`` array goes
+through ``_quotient``: Louvain's aggregation, matching, ``build_coarse_graph``.
 """
 
 from __future__ import annotations
@@ -71,28 +72,52 @@ def modularity(g: Graph, p: Partition) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Weighted quotient
+
+def _quotient(edges: np.ndarray, weights: np.ndarray, assign: np.ndarray,
+              c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Contract weighted u < v ``edges`` by ``assign`` onto clusters 0..c-1.
+
+    Returns the coarse u < v edges in lexicographic order, the summed weight
+    of each, and the summed weight of the edges inside each cluster.
+    """
+    ce = assign[edges]
+    inside = ce[:, 0] == ce[:, 1]
+    intra = np.bincount(ce[inside, 0], weights[inside], minlength=c)
+    ce = np.sort(ce[~inside], axis=1)
+    keys, inv = np.unique(ce[:, 0] * c + ce[:, 1], return_inverse=True)
+    return (np.column_stack([keys // c, keys % c]),
+            np.bincount(inv, weights[~inside], minlength=len(keys)), intra)
+
+
+# ---------------------------------------------------------------------------
 # Louvain
 
-def _louvain_one_level(adj: list[dict[int, float]], self_w: np.ndarray,
-                       m2: float, rng: np.random.Generator) -> np.ndarray:
+def _louvain_one_level(n: int, edges: np.ndarray, weights: np.ndarray,
+                       self_w: np.ndarray, m2: float,
+                       rng: np.random.Generator) -> np.ndarray:
     """One node-move phase on a weighted graph; returns community per node."""
-    n = len(adj)
-    comm = np.arange(n)
-    deg = np.array([sum(w for w in a.values()) for a in adj]) + self_w
-    comm_tot = deg.copy().astype(np.float64)
+    adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for (u, v), w in zip(edges.tolist(), weights.tolist()):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    deg = [sum(w for _, w in a) + s for a, s in zip(adj, self_w.tolist())]
+    comm = list(range(n))
+    comm_tot = list(deg)
 
     order = np.arange(n)
     rng.shuffle(order)
     improved = True
     while improved:
         improved = False
-        for v in order:
+        for v in order.tolist():
             cv = comm[v]
             k_v = deg[v]
             # weight from v to each neighboring community
             links: dict[int, float] = {}
-            for u, w in adj[v].items():
-                links[comm[u]] = links.get(comm[u], 0.0) + w
+            for u, w in adj[v]:
+                cu = comm[u]
+                links[cu] = links.get(cu, 0.0) + w
             comm_tot[cv] -= k_v
             base = links.get(cv, 0.0) - comm_tot[cv] * k_v / m2
             # ascending scan keeps the smallest community on gain ties
@@ -107,7 +132,7 @@ def _louvain_one_level(adj: list[dict[int, float]], self_w: np.ndarray,
             if best_c != cv:
                 comm[v] = best_c
                 improved = True
-    return comm
+    return np.array(comm)
 
 
 def louvain(g: Graph, seed: int = 0) -> Partition:
@@ -123,38 +148,20 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
 
     rng = np.random.default_rng(seed)
     m2 = 2.0 * g.num_edges
-    # current aggregated graph: weighted adjacency + self-loop weights
-    adj: list[dict[int, float]] = [dict() for _ in range(g.num_nodes)]
-    for u, v in g.edge_array():
-        adj[u][v] = adj[u].get(v, 0.0) + 1.0
-        adj[v][u] = adj[v].get(u, 0.0) + 1.0
-    self_w = np.zeros(g.num_nodes)
-    assign = np.arange(g.num_nodes)  # original node -> current aggregated node
+    # current aggregated graph: weighted u < v edges + self-loop weights
+    n, edges = g.num_nodes, g.edge_array()
+    weights, self_w = np.ones(len(edges)), np.zeros(n)
+    assign = np.arange(n)  # original node -> current aggregated node
 
     while True:
-        comm = _louvain_one_level(adj, self_w, m2, rng)
-        part = Partition.from_assignment(comm)
-        if part.num_clusters == len(adj):
+        part = Partition.from_assignment(
+            _louvain_one_level(n, edges, weights, self_w, m2, rng))
+        if part.num_clusters == n:
             break
         assign = part.assign[assign]
-        # aggregate
-        c = part.num_clusters
-        new_adj: list[dict[int, float]] = [dict() for _ in range(c)]
-        new_self = np.zeros(c)
-        for v, a in enumerate(adj):
-            cv = part.assign[v]
-            new_self[cv] += self_w[v]
-            for u, w in a.items():
-                cu = part.assign[u]
-                if cu == cv:
-                    if u > v:
-                        continue
-                    new_self[cv] += 2.0 * w if u < v else w
-                else:
-                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
-        adj, self_w = new_adj, new_self
-        if len(adj) == 1:
-            break
+        n = part.num_clusters
+        edges, weights, intra = _quotient(edges, weights, part.assign, n)
+        self_w = np.bincount(part.assign, self_w, minlength=n) + 2.0 * intra
     return Partition.from_assignment(assign)
 
 
@@ -264,37 +271,25 @@ def heavy_edge_matching(g: Graph, ratio: float) -> Partition:
     """
     if not 0.0 < ratio < 1.0:
         raise GraphValidationError(f"ratio must be in (0,1), got {ratio}")
-    n = g.num_nodes
-    goal = ratio * n
-    assign = np.arange(n)  # original node -> current cluster
-    cur_n = n
-    cur_edges = {tuple(e) for e in map(tuple, g.edge_array())}
-    while cur_n > goal and cur_edges:
-        adj: dict[int, list[int]] = {}
-        for u, v in cur_edges:
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        mate = {}
-        for v in range(cur_n):
-            if v in mate or v not in adj:
+    goal = ratio * g.num_nodes
+    assign = np.arange(g.num_nodes)  # original node -> current cluster
+    cur = replace(g, features=None, node_labels=None)
+    while cur.num_nodes > goal and cur.num_edges:
+        ptr, nbrs = cur.indptr.tolist(), cur.indices.tolist()
+        label = list(range(cur.num_nodes))
+        matched = [False] * cur.num_nodes
+        for v in range(cur.num_nodes):
+            if matched[v]:
                 continue
-            for u in sorted(adj[v]):
-                if u not in mate and u != v:
-                    mate[v] = u
-                    mate[u] = v
+            # every smaller neighbor is matched already, so u > v
+            for u in nbrs[ptr[v]:ptr[v + 1]]:
+                if not matched[u]:
+                    matched[u] = matched[v] = True
+                    label[u] = v
                     break
-        label = np.arange(cur_n)
-        for v, u in mate.items():
-            label[max(v, u)] = min(v, u)
         part = Partition.from_assignment(label)
         assign = part.assign[assign]
-        cur_edges = {(min(part.assign[u], part.assign[v]),
-                      max(part.assign[u], part.assign[v]))
-                     for u, v in cur_edges
-                     if part.assign[u] != part.assign[v]}
-        if part.num_clusters == cur_n:
-            break  # no edges matched
-        cur_n = part.num_clusters
+        cur = build_coarse_graph(cur, part)
     return Partition.from_assignment(assign)
 
 
@@ -309,9 +304,8 @@ def build_coarse_graph(g: Graph, p: Partition) -> Graph:
     """
     if len(p.assign) != g.num_nodes:
         raise GraphValidationError("partition size mismatch")
-    edges = g.edge_array()
-    ce = p.assign[edges] if len(edges) else edges
-    ce = ce[ce[:, 0] != ce[:, 1]] if len(ce) else ce
+    ce, _, _ = _quotient(g.edge_array(), np.ones(g.num_edges), p.assign,
+                         p.num_clusters)
     feats = None
     if g.features is not None:
         feats = p.cluster_sums(g.features) / p.cluster_sizes()[:, None]
@@ -456,10 +450,11 @@ def hierarchy_from_json(data) -> Hierarchy:
     """Parse ``hierarchy_to_json`` output.
 
     A malformed object raises GraphParseError: wrong types, a map count that
-    is not one less than the level count, a map entry that is not a cluster of
-    the next level, a map whose length differs from the size of its level, or
-    a level that is not ``build_coarse_graph`` of the level below under its
-    map.
+    is not one less than the level count, a ratio other than the next level's
+    node count over its level's (1.0 for an empty level), a map entry that is
+    not a cluster of the next level, a map whose length differs from the size
+    of its level, or a level that is not ``build_coarse_graph`` of the level
+    below under its map.
     """
     obj = parse_json(data)
     if not (isinstance(obj, dict)
@@ -474,10 +469,12 @@ def hierarchy_from_json(data) -> Hierarchy:
                                  == len(obj["levels"]) - 1):
         raise GraphParseError("hierarchy JSON needs one map and one ratio "
                               "per level above the base")
-    if not all(isinstance(r, (int, float)) and not isinstance(r, bool)
-               for r in obj["ratios"]):
-        raise GraphParseError("hierarchy ratios must be numbers")
     levels = [graph_from_json_dict(d) for d in obj["levels"]]
+    ratios = [b.num_nodes / a.num_nodes if a.num_nodes else 1.0
+              for a, b in zip(levels, levels[1:])]
+    if any(isinstance(r, bool) or r != want
+           for r, want in zip(obj["ratios"], ratios)):
+        raise GraphParseError(f"hierarchy ratios must be {ratios}")
     for k, a in enumerate(obj["maps"]):
         c = levels[k + 1].num_nodes
         if not (isinstance(a, list)
@@ -494,5 +491,5 @@ def hierarchy_from_json(data) -> Hierarchy:
         if not _is_quotient(levels[k], part, levels[k + 1]):
             raise GraphParseError(f"level {k + 1} is not the quotient of "
                                   f"level {k} under map {k}")
-    return Hierarchy(levels, maps, list(obj["ratios"]),
+    return Hierarchy(levels, maps, ratios,
                      algo=obj.get("algo", ""), seed=obj.get("seed", 0))

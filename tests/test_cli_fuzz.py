@@ -4,8 +4,9 @@ Every subcommand is called in-process on generated files. No exception may
 escape ``main``; ``coarsen``, ``encode`` and ``named-graph`` return 0, 2 or 3,
 and only ``gdwl`` may return 1 (a negative verdict). A well-formed hierarchy
 whose coarse levels are not the quotients of the levels below is a parse
-error (2). Node counts and ids are kept small so that every example runs in
-milliseconds.
+error (2), and so is a graph or hierarchy with a boolean, NaN or infinity
+where a number belongs. Node counts and ids are kept small so that every
+example runs in milliseconds.
 """
 
 import copy
@@ -57,15 +58,20 @@ def paths(obj, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
+def entry(obj, path):
+    """The value at a key/index path into a decoded JSON value."""
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
 @st.composite
 def mutated(draw, make):
     """A valid document with one entry dropped or replaced by another value."""
     obj = make(draw(st.integers(0, 50)))
     path = draw(st.sampled_from(sorted(paths(obj), key=repr)))
     obj = copy.deepcopy(obj)
-    parent = obj
-    for key in path[:-1]:
-        parent = parent[key]
+    parent = entry(obj, path[:-1])
     if draw(st.booleans()):
         del parent[path[-1]]
     else:
@@ -104,12 +110,13 @@ def test_encode(tmp_path_factory, payload):
 def inconsistent_hierarchy(draw):
     """A valid hierarchy whose level k is no longer the quotient of level
     k - 1 under map k - 1: one coarse edge toggled, one coarse feature moved,
-    coarse features dropped, coarse labels added, or one node sent to another
-    cluster (which moves two cluster means, or empties a cluster)."""
+    coarse features dropped, coarse labels added, one node sent to another
+    cluster (which moves two cluster means, or empties a cluster), or ratio
+    k - 1 changed to any other float."""
     obj = valid_hierarchy_dict(draw(st.integers(0, 50)))
     k = draw(st.integers(1, len(obj["levels"]) - 1))
     level, n = obj["levels"][k], obj["levels"][k]["num_nodes"]
-    kinds = ["feature", "drop features", "labels"]
+    kinds = ["feature", "drop features", "labels", "ratio"]
     kinds += ["edge", "map"] if n > 1 else []
     kind = draw(st.sampled_from(kinds))
     if kind == "feature":
@@ -120,6 +127,9 @@ def inconsistent_hierarchy(draw):
         del level["features"]
     elif kind == "labels":
         level["labels"] = [0] * n
+    elif kind == "ratio":
+        ratio = obj["ratios"][k - 1]
+        obj["ratios"][k - 1] = draw(st.floats().filter(lambda r: r != ratio))
     elif kind == "edge":
         u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
                                     max_size=2, unique=True)))
@@ -134,6 +144,36 @@ def inconsistent_hierarchy(draw):
 @FUZZ
 @given(payload=inconsistent_hierarchy())
 def test_encode_rejects_inconsistent_hierarchy(tmp_path_factory, payload):
+    rc = run(tmp_path_factory, lambda f: ["encode", f], payload, ".json")
+    assert rc == 2
+
+
+NUMERIC_FIELDS = {"edges", "labels", "features", "maps", "ratios"}
+
+
+@st.composite
+def non_number_entry(draw, make):
+    """A valid document with one number in its edges, labels, features,
+    maps or ratios replaced by a JSON boolean, NaN or +-Infinity."""
+    obj = make(draw(st.integers(0, 50)))
+    leaves = [path for path in paths(obj) if set(path) & NUMERIC_FIELDS
+              and not isinstance(entry(obj, path), list)]
+    path = draw(st.sampled_from(sorted(leaves, key=repr)))
+    entry(obj, path[:-1])[path[-1]] = draw(st.sampled_from(
+        [True, False, float("nan"), float("inf"), float("-inf")]))
+    return json.dumps(obj).encode()
+
+
+@FUZZ
+@given(payload=non_number_entry(valid_graph_dict))
+def test_coarsen_rejects_non_numbers(tmp_path_factory, payload):
+    rc = run(tmp_path_factory, lambda f: ["coarsen", f], payload, ".json")
+    assert rc == 2
+
+
+@FUZZ
+@given(payload=non_number_entry(valid_hierarchy_dict))
+def test_encode_rejects_non_numbers(tmp_path_factory, payload):
     rc = run(tmp_path_factory, lambda f: ["encode", f], payload, ".json")
     assert rc == 2
 

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdse.coarsen import (Hierarchy, Partition, build_coarse_graph,
-                          build_hierarchy, edge_betweenness, girvan_newman,
+from hdse.coarsen import (Hierarchy, Partition, _quotient,
+                          build_coarse_graph, build_hierarchy,
+                          edge_betweenness, girvan_newman,
                           heavy_edge_matching, hierarchy_from_json,
                           hierarchy_to_json, louvain, modularity,
                           permute_hierarchy)
@@ -123,6 +125,231 @@ class TestLouvain:
     def test_empty_graph_rejected(self):
         with pytest.raises(GraphValidationError):
             louvain(make_graph(0, []), seed=0)
+
+
+def louvain_one_level_oracle(adj, self_w, m2, rng):
+    """One node-move phase over ``list[dict]`` adjacency (the oracle)."""
+    n = len(adj)
+    comm = np.arange(n)
+    deg = np.array([sum(w for w in a.values()) for a in adj]) + self_w
+    comm_tot = deg.copy().astype(np.float64)
+
+    order = np.arange(n)
+    rng.shuffle(order)
+    improved = True
+    while improved:
+        improved = False
+        for v in order:
+            cv = comm[v]
+            k_v = deg[v]
+            links = {}
+            for u, w in adj[v].items():
+                links[comm[u]] = links.get(comm[u], 0.0) + w
+            comm_tot[cv] -= k_v
+            base = links.get(cv, 0.0) - comm_tot[cv] * k_v / m2
+            best_c, best_gain = cv, 0.0
+            for c in sorted(links):
+                if c == cv:
+                    continue
+                gain = links[c] - comm_tot[c] * k_v / m2 - base
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            comm_tot[best_c] += k_v
+            if best_c != cv:
+                comm[v] = best_c
+                improved = True
+    return comm
+
+
+def louvain_oracle(g, seed):
+    """Louvain with dict adjacency and a per-node aggregation loop.
+
+    Returns the partition and the number of aggregations it took.
+    """
+    if g.num_edges == 0:
+        return Partition(np.arange(g.num_nodes), g.num_nodes), 0
+    rng = np.random.default_rng(seed)
+    m2 = 2.0 * g.num_edges
+    adj = [dict() for _ in range(g.num_nodes)]
+    for u, v in g.edge_array():
+        adj[u][v] = adj[u].get(v, 0.0) + 1.0
+        adj[v][u] = adj[v].get(u, 0.0) + 1.0
+    self_w = np.zeros(g.num_nodes)
+    assign = np.arange(g.num_nodes)
+    aggregations = 0
+    while True:
+        part = Partition.from_assignment(
+            louvain_one_level_oracle(adj, self_w, m2, rng))
+        if part.num_clusters == len(adj):
+            break
+        aggregations += 1
+        assign = part.assign[assign]
+        c = part.num_clusters
+        new_adj = [dict() for _ in range(c)]
+        new_self = np.zeros(c)
+        for v, a in enumerate(adj):
+            cv = part.assign[v]
+            new_self[cv] += self_w[v]
+            for u, w in a.items():
+                cu = part.assign[u]
+                if cu == cv:
+                    if u > v:
+                        continue
+                    new_self[cv] += 2.0 * w if u < v else w
+                else:
+                    new_adj[cv][cu] = new_adj[cv].get(cu, 0.0) + w
+        adj, self_w = new_adj, new_self
+        if len(adj) == 1:
+            break
+    return Partition.from_assignment(assign), aggregations
+
+
+def hem_oracle(g, ratio):
+    """Heavy-edge matching over a Python set of edge tuples (the oracle)."""
+    n = g.num_nodes
+    assign = np.arange(n)
+    cur_n = n
+    cur_edges = {tuple(e) for e in map(tuple, g.edge_array())}
+    while cur_n > ratio * n and cur_edges:
+        adj = {}
+        for u, v in cur_edges:
+            adj.setdefault(u, []).append(v)
+            adj.setdefault(v, []).append(u)
+        mate = {}
+        for v in range(cur_n):
+            if v in mate or v not in adj:
+                continue
+            for u in sorted(adj[v]):
+                if u not in mate and u != v:
+                    mate[v] = u
+                    mate[u] = v
+                    break
+        label = np.arange(cur_n)
+        for v, u in mate.items():
+            label[max(v, u)] = min(v, u)
+        part = Partition.from_assignment(label)
+        assign = part.assign[assign]
+        cur_edges = {(min(part.assign[u], part.assign[v]),
+                      max(part.assign[u], part.assign[v]))
+                     for u, v in cur_edges
+                     if part.assign[u] != part.assign[v]}
+        if part.num_clusters == cur_n:
+            break
+        cur_n = part.num_clusters
+    return Partition.from_assignment(assign)
+
+
+def ring_of_cliques(k, size, extra=0):
+    """k cliques joined in a ring by single edges, then ``extra`` isolated
+    nodes; Louvain merges the cliques over several aggregations."""
+    edges = [(c * size + i, c * size + j) for c in range(k)
+             for i in range(size) for j in range(i + 1, size)]
+    edges += [(c * size, ((c + 1) % k) * size + 1) for c in range(k)]
+    return make_graph(k * size + extra, edges)
+
+
+@st.composite
+def coarsening_graphs(draw):
+    """Small graphs with isolated nodes, several components, a single edge,
+    or rings of cliques that take several Louvain aggregations; node ids
+    are shuffled."""
+    kind = draw(st.sampled_from(["random", "one edge", "rings"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "random":
+        n = draw(st.integers(1, 40))
+        p = draw(st.sampled_from([0.02, 0.08, 0.2, 0.5]))
+        g = make_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                           if rng.random() < p])
+    elif kind == "one edge":
+        n = draw(st.integers(2, 8))
+        g = make_graph(n, [rng.choice(n, 2, replace=False)])
+    else:
+        g = ring_of_cliques(draw(st.integers(3, 20)), draw(st.integers(3, 4)),
+                            extra=draw(st.integers(0, 3)))
+    sigma = rng.permutation(g.num_nodes)
+    return make_graph(g.num_nodes, sigma[g.edge_array()])
+
+
+class TestAgainstOracles:
+    @settings(max_examples=120, deadline=None)
+    @given(coarsening_graphs())
+    def test_louvain(self, g):
+        for seed in (0, 1, 2):
+            got, (want, _) = louvain(g, seed), louvain_oracle(g, seed)
+            assert got.num_clusters == want.num_clusters
+            np.testing.assert_array_equal(got.assign, want.assign)
+
+    @settings(max_examples=120, deadline=None)
+    @given(coarsening_graphs())
+    def test_heavy_edge_matching(self, g):
+        for ratio in (0.3, 0.5, 0.9):
+            got, want = heavy_edge_matching(g, ratio), hem_oracle(g, ratio)
+            assert got.num_clusters == want.num_clusters
+            np.testing.assert_array_equal(got.assign, want.assign)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_louvain_several_aggregations(self, seed):
+        # the "rings" family really takes more than one aggregation
+        g = ring_of_cliques(16, 3, extra=2)
+        want, aggregations = louvain_oracle(g, seed)
+        assert aggregations >= 2
+        np.testing.assert_array_equal(louvain(g, seed).assign, want.assign)
+
+
+def quotient_oracle(edges, weights, assign, c):
+    """Coarse edge weights and per-cluster intra weights through dicts."""
+    coarse, intra = {}, [0.0] * c
+    for (u, v), w in zip(edges, weights):
+        a, b = sorted((int(assign[u]), int(assign[v])))
+        if a == b:
+            intra[a] += w
+        else:
+            coarse[(a, b)] = coarse.get((a, b), 0.0) + w
+    return sorted(coarse.items()), intra
+
+
+def assert_quotient_matches(edges, weights, assign, c):
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    assign = np.asarray(assign, dtype=np.int64)
+    ce, cw, intra = _quotient(edges, weights, assign, c)
+    want_edges, want_intra = quotient_oracle(edges.tolist(), weights.tolist(),
+                                             assign, c)
+    assert ce.shape == (len(want_edges), 2) and ce.dtype == np.int64
+    assert [(tuple(e), w) for e, w in zip(ce.tolist(), cw.tolist())] \
+        == want_edges
+    assert intra.tolist() == want_intra
+
+
+class TestQuotient:
+    def test_no_edges(self):
+        assert_quotient_matches([], [], [0, 1, 1], 2)
+
+    def test_all_edges_intra_cluster(self):
+        assert_quotient_matches([(0, 1), (1, 2), (3, 4)], [1, 2, 3],
+                                [1, 1, 1, 0, 0], 2)
+
+    def test_repeated_coarse_edges(self):
+        # (0, 2), (0, 3) and (1, 3) all map onto (1, 0), which is coarse edge
+        # (0, 1); (2, 4) and (3, 4) both land on (0, 2); (0, 1) is intra
+        assert_quotient_matches([(0, 1), (0, 2), (0, 3), (1, 3), (2, 4),
+                                 (3, 4)], [4, 1, 1, 2, 5, 3],
+                                [1, 1, 0, 0, 2], 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_dict_oracle(self, data):
+        n = data.draw(st.integers(1, 15))
+        c = data.draw(st.integers(1, n))
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=40))
+        edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+        weights = data.draw(st.lists(st.integers(1, 5), min_size=len(edges),
+                                     max_size=len(edges)))
+        assign = data.draw(st.lists(st.integers(0, c - 1), min_size=n,
+                                    max_size=n))
+        assert_quotient_matches(edges, weights, assign, c)
 
 
 class TestGirvanNewman:
@@ -363,6 +590,22 @@ def test_hierarchy_json_roundtrip():
     for a, b in zip(h.maps, h2.maps):
         assert np.array_equal(a.assign, b.assign)
     assert h2.algo == h.algo and h2.seed == h.seed
+
+
+@pytest.mark.parametrize("ratios", [[0.123, 7.0], [float("nan"), -1e300],
+                                    [0.25, 0.4 + 1e-16], [True, 0.4],
+                                    ["0.25", 0.4], [0.25, None]])
+def test_hierarchy_json_ratios_are_checked(ratios):
+    # a 20 -> 5 -> 2 hierarchy: its ratios can only be 5/20 and 2/5
+    h = build_hierarchy(make_graph(20, [(i, i + 1) for i in range(19)]),
+                        "louvain", 2)
+    assert h.coarsening_ratios == [0.25, 0.4]
+    obj = json.loads(hierarchy_to_json(h))
+    back = hierarchy_from_json(json.dumps(obj))
+    assert back.coarsening_ratios == [0.25, 0.4]
+    obj["ratios"] = ratios
+    with pytest.raises(GraphParseError, match="ratios"):
+        hierarchy_from_json(json.dumps(obj))
 
 
 def assert_same_bytes(a, b):
