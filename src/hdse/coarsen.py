@@ -8,16 +8,18 @@ Three partitioners are provided: greedy modularity (Louvain), edge-betweenness
 splitting (Girvan-Newman) and repeated maximal matching (METIS-style). All are
 deterministic for a fixed seed. Every contraction by an ``assign`` array goes
 through ``_quotient``: Louvain's aggregation, matching, ``build_coarse_graph``.
+Girvan-Newman runs no search of its own: each iteration reads its connected
+components and its Brandes betweenness from one ``spd_all_pairs`` call.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .distance import spd_all_pairs
 from .graph import (Graph, GraphParseError, GraphValidationError,
                     NodePermutation, graph_from_json_dict, make_graph,
                     parse_json, permute)
@@ -168,58 +170,33 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
 # ---------------------------------------------------------------------------
 # Girvan-Newman
 
-def _components(n: int, adj: list[set[int]]) -> np.ndarray:
-    comp = np.full(n, -1, dtype=np.int64)
-    c = 0
-    for s in range(n):
-        if comp[s] >= 0:
-            continue
-        comp[s] = c
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            for u in adj[v]:
-                if comp[u] < 0:
-                    comp[u] = c
-                    q.append(u)
-        c += 1
-    return comp
+def edge_betweenness(g: Graph, d: np.ndarray) -> np.ndarray:
+    """Exact edge betweenness of ``g``, aligned with ``g.edge_array()``.
 
-
-def edge_betweenness(n: int, adj: list[set[int]]) -> dict[tuple[int, int], float]:
-    """Exact edge betweenness (Brandes accumulation over BFS trees)."""
-    bet: dict[tuple[int, int], float] = {}
-    for v in range(n):
-        for u in adj[v]:
-            if v < u:
-                bet[(v, u)] = 0.0
-    for s in range(n):
-        sigma = np.zeros(n)
-        dist = np.full(n, -1, dtype=np.int64)
-        sigma[s] = 1.0
-        dist[s] = 0
-        order: list[int] = []
-        preds: list[list[int]] = [[] for _ in range(n)]
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            order.append(v)
-            for u in sorted(adj[v]):
-                if dist[u] < 0:
-                    dist[u] = dist[v] + 1
-                    q.append(u)
-                if dist[u] == dist[v] + 1:
-                    sigma[u] += sigma[v]
-                    preds[u].append(v)
-        delta = np.zeros(n)
-        for v in reversed(order):
-            for u in preds[v]:
-                contrib = sigma[u] / sigma[v] * (1.0 + delta[v])
-                key = (u, v) if u < v else (v, u)
-                bet[key] += contrib
-                delta[u] += contrib
-    # each unordered pair counted from both endpoints
-    return {e: b / 2.0 for e, b in bet.items()}
+    ``d`` is ``spd_all_pairs(g)``. Brandes' accumulation runs for all sources
+    at once over the hop levels of ``d``: row s of ``sigma`` counts the
+    shortest paths from s, filled level by level forwards, and row s of
+    ``w`` holds (1 + delta) / sigma, the dependency of s on a node per path
+    through it, filled backwards. An edge (u, v) with v one level below u
+    carries sigma[s, u] * w[s, v] of the pairs from source s; each pair is
+    counted from both of its ends, hence the halving.
+    """
+    n = g.num_nodes
+    u, v = g.edge_array().T
+    a = np.zeros((n, n))
+    a[u, v] = a[v, u] = 1.0
+    depth = int(d.max(initial=0))
+    sigma = np.eye(n)
+    for k in range(1, depth + 1):
+        sigma += ((sigma * (d == k - 1)) @ a) * (d == k)
+    delta, w = np.zeros((n, n)), np.zeros((n, n))
+    for k in range(depth, 0, -1):
+        on = d == k
+        w[on] = (1.0 + delta[on]) / sigma[on]
+        delta += ((w * on) @ a) * sigma * (d == k - 1)
+    du, dv = d[:, u], d[:, v]
+    return ((dv == du + 1) * sigma[:, u] * w[:, v]
+            + (du == dv + 1) * sigma[:, v] * w[:, u]).sum(axis=0) / 2.0
 
 
 def girvan_newman(g: Graph, target: int | None = None) -> Partition:
@@ -230,33 +207,30 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     iteration, ties broken by smallest edge id, and the betweenness is
     recomputed after every removal; removing whole tie groups at once would
     erase every edge of a vertex-transitive graph in one step and never
-    produce a nontrivial split.
+    produce a nontrivial split. Each iteration solves ``spd_all_pairs`` once
+    and reads both the components and the betweenness from it.
     """
     n = g.num_nodes
     if target is not None and target > n:
         raise GraphValidationError(f"target {target} exceeds {n} nodes")
-    adj = [set(map(int, g.neighbors(v))) for v in range(n)]
-
-    comp = _components(n, adj)
-    best = Partition.from_assignment(comp)
-    best_q = modularity(g, best)
-    while any(adj[v] for v in range(n)):
-        if target is not None and best.num_clusters >= target:
-            return best
-        bet = edge_betweenness(n, adj)
-        bmax = max(bet.values())
-        u, v = min(e for e, b in bet.items() if b >= bmax * (1.0 - 1e-9))
-        adj[u].discard(v)
-        adj[v].discard(u)
-        comp = _components(n, adj)
-        part = Partition.from_assignment(comp)
+    cur, best, best_q = g, None, -np.inf
+    while True:
+        d = spd_all_pairs(cur)
+        # each node is labeled by the smallest node it reaches
+        part = Partition.from_assignment(
+            np.where(d >= 0, np.arange(n), n).min(axis=1, initial=n))
         if target is not None:
             best = part
-        else:
-            q = modularity(g, part)
-            if q > best_q + 1e-12:
-                best, best_q = part, q
-    return best
+            if best.num_clusters >= target:
+                return best
+        elif (q := modularity(g, part)) > best_q + 1e-12:
+            best, best_q = part, q
+        if not cur.num_edges:
+            return best
+        bet = edge_betweenness(cur, d)
+        # edge_array() is lexsorted: the first maximal edge has the smallest id
+        drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
+        cur = make_graph(n, np.delete(cur.edge_array(), drop, axis=0))
 
 
 # ---------------------------------------------------------------------------

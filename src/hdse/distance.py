@@ -18,11 +18,14 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .coarsen import Hierarchy
 from .graph import Graph, GraphValidationError
+
+if TYPE_CHECKING:  # coarsen imports this module
+    from .coarsen import Hierarchy
 
 UNREACHABLE = -1  # raw distance of a disconnected pair
 

@@ -65,6 +65,14 @@ class Graph:
         return True
 
     def to_json_dict(self) -> dict:
+        """The JSON graph format. A 0-node graph with features of nonzero
+        width raises GraphValidationError: its ``"features": []`` would read
+        back with width 0."""
+        if (self.num_nodes == 0 and self.features is not None
+                and self.features.shape[1]):
+            raise GraphValidationError(
+                f"a 0-node graph cannot carry {self.features.shape[1]} "
+                f"feature columns in JSON")
         d: dict = {
             "num_nodes": self.num_nodes,
             "edges": self.edge_array().tolist(),
@@ -124,18 +132,15 @@ def make_graph(num_nodes: int, edges, features=None, labels=None) -> Graph:
             f"edge endpoint out of range [0, {num_nodes})")
     if len(edges) and np.any(edges[:, 0] == edges[:, 1]):
         raise GraphValidationError("self-loops are not allowed")
-    lo = np.minimum(edges[:, 0], edges[:, 1]) if len(edges) else edges[:, 0]
-    hi = np.maximum(edges[:, 0], edges[:, 1]) if len(edges) else edges[:, 1]
-    uniq = np.unique(np.column_stack([lo, hi]), axis=0) if len(edges) else edges
-
-    both = np.concatenate([uniq, uniq[:, ::-1]]) if len(uniq) else uniq
-    order = np.lexsort((both[:, 1], both[:, 0])) if len(both) else []
-    both = both[order] if len(both) else both
-    counts = np.bincount(both[:, 0], minlength=num_nodes) if len(both) \
-        else np.zeros(num_nodes, dtype=np.int64)
+    # an edge (u, v) is the key u * n + v, below n**2 <= 2**64 for n < MAX_NODES
+    lo, hi = np.sort(edges, axis=1).astype(np.uint64).T
+    keys = np.unique(lo * num_nodes + hi)
+    lo, hi = np.divmod(keys, num_nodes)
+    src, dst = np.divmod(np.sort(np.concatenate([keys, hi * num_nodes + lo])),
+                         num_nodes)
+    counts = np.bincount(src.astype(np.int64), minlength=num_nodes)
     indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    indices = both[:, 1].astype(np.int64) if len(both) \
-        else np.empty(0, dtype=np.int64)
+    indices = dst.astype(np.int64)
 
     feats = None
     if features is not None:

@@ -11,7 +11,7 @@ import numpy as np
 from hdse.attention import init_attention_params, init_bias_params, \
     BiasedAttentionLayer, attention_forward
 from hdse.cli import main
-from hdse.coarsen import build_hierarchy, edge_betweenness, girvan_newman, \
+from hdse.coarsen import build_hierarchy, girvan_newman, \
     louvain, permute_hierarchy
 from hdse.demo import DemoConfig, run_all_encodings
 from hdse.distance import UNREACHABLE, ghd, hdse, spd_all_pairs
@@ -20,6 +20,7 @@ from hdse.refine import (HdseEncoding, SpdEncoding, barbell_graph,
                          desargues_graph, distinguishes, dodecahedron_graph)
 
 from test_attention import finite_difference_check
+from test_coarsen import betweenness_oracle
 from test_distance import floyd_warshall
 
 
@@ -170,7 +171,7 @@ def test_8_coarsening_quality():
         # removed first
         bb = barbell_graph(5)
         adj = [set(map(int, bb.neighbors(v))) for v in range(bb.num_nodes)]
-        bet = edge_betweenness(bb.num_nodes, adj)
+        bet = betweenness_oracle(bb.num_nodes, adj)
         bridge = (4, 5)
         assert all(bet[bridge] > b for e, b in bet.items() if e != bridge)
         split = girvan_newman(bb, target=2)

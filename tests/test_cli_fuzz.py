@@ -2,7 +2,8 @@
 
 Every subcommand is called in-process on generated files. No exception may
 escape ``main``; ``coarsen``, ``encode`` and ``named-graph`` return 0, 2 or 3,
-and only ``gdwl`` may return 1 (a negative verdict). A well-formed hierarchy
+and only ``gdwl`` may return 1 (a negative verdict). ``coarsen`` and ``gdwl``
+run under each coarsening algorithm. A well-formed hierarchy
 whose coarse levels are not the quotients of the levels below is a parse
 error (2), and so is a graph or hierarchy with a boolean, NaN or infinity
 where a number belongs. Node counts and ids are kept small so that every
@@ -92,10 +93,15 @@ def run(tmp_path_factory, argv_of, payload: bytes, suffix: str) -> int:
     return main(argv_of(str(f)) + ["-o", str(d / "out")])
 
 
+algos = st.sampled_from(["louvain", "newman", "hem"])
+
+
 @FUZZ
-@given(payload=files(valid_graph_dict), suffix=st.sampled_from([".txt", ".json"]))
-def test_coarsen(tmp_path_factory, payload, suffix):
-    rc = run(tmp_path_factory, lambda f: ["coarsen", f], payload, suffix)
+@given(payload=files(valid_graph_dict), suffix=st.sampled_from([".txt", ".json"]),
+       algo=algos)
+def test_coarsen(tmp_path_factory, payload, suffix, algo):
+    rc = run(tmp_path_factory, lambda f: ["coarsen", f, "--algo", algo],
+             payload, suffix)
     assert rc in (0, 2, 3)
 
 
@@ -179,14 +185,14 @@ def test_encode_rejects_non_numbers(tmp_path_factory, payload):
 
 
 @FUZZ
-@given(payload=files(valid_graph_dict))
-def test_gdwl(tmp_path_factory, payload):
+@given(payload=files(valid_graph_dict), algo=algos)
+def test_gdwl(tmp_path_factory, payload, algo):
     other = json.dumps(valid_graph_dict(0))
     d = tmp_path_factory.mktemp("other")
     (d / "g.json").write_text(other)
     rc = run(tmp_path_factory,
              lambda f: ["gdwl", f, str(d / "g.json"), "--enc", "hdse",
-                        "--algo", "hem"],
+                        "--algo", algo],
              payload, ".json")
     assert rc in (0, 1, 2, 3)
 
