@@ -318,12 +318,5 @@ class BiasedAttentionLayer:
         return named
 
     def apply_gradients(self, g: Gradients, lr: float) -> None:
-        self.attn.w_q -= lr * g.w_q
-        self.attn.w_k -= lr * g.w_k
-        self.attn.w_v -= lr * g.w_v
-        if self.bias is not None:
-            self.bias.embeddings -= lr * g.embeddings
-            self.bias.w1 -= lr * g.w1
-            self.bias.b1 -= lr * g.b1
-            self.bias.w2 -= lr * g.w2
-            self.bias.b2 -= lr * g.b2
+        for name, param in self.parameters():
+            param -= lr * getattr(g, name)

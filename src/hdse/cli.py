@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
-
-import numpy as np
 
 from . import coarsen, demo, distance, graph, refine
 
@@ -113,9 +112,7 @@ def cmd_gdwl(args) -> int:
             # stability of the verdict across coarsening seeds; the verdict
             # under args.seed is the one just computed
             stable = 1 + sum(
-                refine.distinguishes(g1, g2, refine.HdseEncoding(
-                    levels=args.levels, algo=args.algo, clip=args.clip,
-                    seed=s))
+                refine.distinguishes(g1, g2, replace(enc, seed=s))
                 for s in range(args.seed + 1, args.seed + 3))
     except graph.GraphValidationError as e:
         raise SystemExitError(EXIT_CONFIG, str(e))
@@ -162,8 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coarsen", help="build and save a coarsening hierarchy")
     p.add_argument("graph")
-    p.add_argument("--algo", choices=["louvain", "newman", "hem"],
-                   default="louvain")
+    p.add_argument("--algo", choices=list(coarsen.ALGOS), default="louvain")
     p.add_argument("--levels", "-K", type=int, default=1)
     p.add_argument("--ratio", type=float, default=0.5)
     p.add_argument("--seed", type=int, default=0)
@@ -183,8 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--enc", choices=["spd", "hdse"], default="spd")
-    p.add_argument("--algo", choices=["louvain", "newman", "hem"],
-                   default="newman")
+    p.add_argument("--algo", choices=list(coarsen.ALGOS), default="newman")
     p.add_argument("--levels", "-K", type=int, default=1)
     p.add_argument("--clip", "-L", type=int, default=30)
     p.add_argument("--seed", type=int, default=0)

@@ -8,6 +8,8 @@ Three partitioners are provided: greedy modularity (Louvain), edge-betweenness
 splitting (Girvan-Newman) and repeated maximal matching (METIS-style). All are
 deterministic for a fixed seed. Every contraction by an ``assign`` array goes
 through ``_quotient``: Louvain's aggregation, matching, ``build_coarse_graph``.
+A coarse level is that quotient and nothing else: it has no features and no
+labels, and features reach it only through ``Hierarchy.projected_features``.
 Girvan-Newman runs no search of its own: each iteration reads its connected
 components and its Brandes betweenness from one ``spd_all_pairs`` call.
 """
@@ -15,7 +17,7 @@ components and its Brandes betweenness from one ``spd_all_pairs`` call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -247,7 +249,7 @@ def heavy_edge_matching(g: Graph, ratio: float) -> Partition:
         raise GraphValidationError(f"ratio must be in (0,1), got {ratio}")
     goal = ratio * g.num_nodes
     assign = np.arange(g.num_nodes)  # original node -> current cluster
-    cur = replace(g, features=None, node_labels=None)
+    cur = g
     while cur.num_nodes > goal and cur.num_edges:
         ptr, nbrs = cur.indptr.tolist(), cur.indices.tolist()
         label = list(range(cur.num_nodes))
@@ -273,38 +275,41 @@ def heavy_edge_matching(g: Graph, ratio: float) -> Partition:
 def build_coarse_graph(g: Graph, p: Partition) -> Graph:
     """Quotient graph: one node per cluster, self-loops dropped.
 
-    Coarse features are the per-cluster means of the input features; labels
-    are dropped.
+    The result is structure only, with no features and no labels.
     """
     if len(p.assign) != g.num_nodes:
         raise GraphValidationError("partition size mismatch")
     ce, _, _ = _quotient(g.edge_array(), np.ones(g.num_edges), p.assign,
                          p.num_clusters)
-    feats = None
-    if g.features is not None:
-        feats = p.cluster_sums(g.features) / p.cluster_sizes()[:, None]
-    return make_graph(p.num_clusters, ce, features=feats)
+    return make_graph(p.num_clusters, ce)
 
 
 @dataclass(frozen=True)
 class Hierarchy:
     """Coarsening hierarchy: levels[0] is the input graph.
 
-    ``maps[k]`` sends level-k nodes to level-(k+1) clusters. The per-level
-    Graph.features carry plain cluster means; ``projected_features`` derives
-    the paper's projection chain X_{k+1} = P^T X_k from the input features
-    instead, which is what the linear attention path consumes.
+    ``maps[k]`` sends level-k nodes to level-(k+1) clusters, and
+    ``levels[k + 1]`` is ``build_coarse_graph(levels[k], maps[k])``: coarse
+    levels are structure only. Features reach them through
+    ``projected_features``, the paper's chain X_{k+1} = P^T X_k, which is
+    what the linear attention path consumes.
     """
 
     levels: list[Graph]
     maps: list[Partition]
-    coarsening_ratios: list[float]
     algo: str = ""
     seed: int = 0
 
     @property
     def max_level(self) -> int:
         return len(self.levels) - 1
+
+    @property
+    def coarsening_ratios(self) -> list[float]:
+        """Node count of each level over the level below; 1.0 above an empty
+        level."""
+        return [b.num_nodes / a.num_nodes if a.num_nodes else 1.0
+                for a, b in zip(self.levels, self.levels[1:])]
 
     @property
     def projected_features(self) -> list[np.ndarray] | None:
@@ -333,7 +338,7 @@ class Hierarchy:
 
 
 # One coarsening step per algorithm name: (graph, ratio, seed) -> Partition.
-_ALGOS = {
+ALGOS = {
     "louvain": lambda g, ratio, seed: louvain(g, seed=seed),
     "newman": lambda g, ratio, seed: girvan_newman(g, target=None),
     "hem": lambda g, ratio, seed: heavy_edge_matching(g, ratio),
@@ -350,23 +355,20 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
     """
     if levels < 0:
         raise GraphValidationError("level count must be >= 0")
-    if algo not in _ALGOS:
+    if algo not in ALGOS:
         raise GraphValidationError(f"unknown coarsening algorithm {algo!r}")
     graphs = [g]
     maps: list[Partition] = []
-    ratios: list[float] = []
     for _ in range(levels):
         cur = graphs[-1]
         if cur.num_nodes <= 1:
             part = Partition(np.zeros(cur.num_nodes, dtype=np.int64),
                              cur.num_nodes)
         else:
-            part = _ALGOS[algo](cur, ratio, seed)
+            part = ALGOS[algo](cur, ratio, seed)
         maps.append(part)
-        ratios.append(part.num_clusters / cur.num_nodes if cur.num_nodes
-                      else 1.0)
         graphs.append(build_coarse_graph(cur, part))
-    return Hierarchy(graphs, maps, ratios, algo=algo, seed=seed)
+    return Hierarchy(graphs, maps, algo=algo, seed=seed)
 
 
 def permute_hierarchy(h: Hierarchy, sigma: NodePermutation) -> Hierarchy:
@@ -379,7 +381,7 @@ def permute_hierarchy(h: Hierarchy, sigma: NodePermutation) -> Hierarchy:
         inv = sigma.inverse().forward
         maps[0] = Partition(maps[0].assign[inv], maps[0].num_clusters)
     return Hierarchy([permute(h.levels[0], sigma)] + list(h.levels[1:]), maps,
-                     list(h.coarsening_ratios), algo=h.algo, seed=h.seed)
+                     algo=h.algo, seed=h.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -400,26 +402,6 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _is_quotient(g: Graph, part: Partition, coarse: Graph) -> bool:
-    """True when ``coarse`` is ``build_coarse_graph(g, part)``.
-
-    Edges, labels and feature shapes must match exactly. A feature mean may
-    differ by rounding, because its sum depends on the order of g's nodes and
-    ``permute_hierarchy`` reorders them without rebuilding coarse levels: by
-    at most 4 * n * eps times the cluster's mean absolute feature, which
-    bounds the rounding of two sums of at most n terms.
-    """
-    rebuilt = build_coarse_graph(g, part)
-    if (rebuilt.features is None or coarse.features is None
-            or rebuilt.features.shape != coarse.features.shape):
-        return rebuilt == coarse
-    if replace(rebuilt, features=coarse.features) != coarse:
-        return False
-    scale = part.cluster_sums(np.abs(g.features)) / part.cluster_sizes()[:, None]
-    slack = 4 * g.num_nodes * np.finfo(np.float64).eps * scale
-    return bool(np.all(np.abs(rebuilt.features - coarse.features) <= slack))
-
-
 def hierarchy_from_json(data) -> Hierarchy:
     """Parse ``hierarchy_to_json`` output.
 
@@ -427,8 +409,9 @@ def hierarchy_from_json(data) -> Hierarchy:
     is not one less than the level count, a ratio other than the next level's
     node count over its level's (1.0 for an empty level), a map entry that is
     not a cluster of the next level, a map whose length differs from the size
-    of its level, or a level that is not ``build_coarse_graph`` of the level
-    below under its map.
+    of its level, or a level that is not exactly ``build_coarse_graph`` of
+    the level below under its map (so a coarse level carries no features and
+    no labels). A map that leaves a cluster empty raises GraphValidationError.
     """
     obj = parse_json(data)
     if not (isinstance(obj, dict)
@@ -444,11 +427,6 @@ def hierarchy_from_json(data) -> Hierarchy:
         raise GraphParseError("hierarchy JSON needs one map and one ratio "
                               "per level above the base")
     levels = [graph_from_json_dict(d) for d in obj["levels"]]
-    ratios = [b.num_nodes / a.num_nodes if a.num_nodes else 1.0
-              for a, b in zip(levels, levels[1:])]
-    if any(isinstance(r, bool) or r != want
-           for r, want in zip(obj["ratios"], ratios)):
-        raise GraphParseError(f"hierarchy ratios must be {ratios}")
     for k, a in enumerate(obj["maps"]):
         c = levels[k + 1].num_nodes
         if not (isinstance(a, list)
@@ -458,12 +436,16 @@ def hierarchy_from_json(data) -> Hierarchy:
         if len(a) != levels[k].num_nodes:
             raise GraphParseError(f"map {k} has {len(a)} entries, level {k} "
                                   f"has {levels[k].num_nodes} nodes")
-    maps = [Partition(np.asarray(a, dtype=np.int64),
-                      levels[k + 1].num_nodes)
-            for k, a in enumerate(obj["maps"])]
-    for k, part in enumerate(maps):
-        if not _is_quotient(levels[k], part, levels[k + 1]):
+    h = Hierarchy(levels, [Partition(np.asarray(a, dtype=np.int64),
+                                     levels[k + 1].num_nodes)
+                           for k, a in enumerate(obj["maps"])],
+                  algo=obj.get("algo", ""), seed=obj.get("seed", 0))
+    ratios = h.coarsening_ratios
+    if any(isinstance(r, bool) or r != want
+           for r, want in zip(obj["ratios"], ratios)):
+        raise GraphParseError(f"hierarchy ratios must be {ratios}")
+    for k, part in enumerate(h.maps):
+        if build_coarse_graph(levels[k], part) != levels[k + 1]:
             raise GraphParseError(f"level {k + 1} is not the quotient of "
                                   f"level {k} under map {k}")
-    return Hierarchy(levels, maps, ratios,
-                     algo=obj.get("algo", ""), seed=obj.get("seed", 0))
+    return h

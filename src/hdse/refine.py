@@ -27,7 +27,7 @@ from .graph import Graph, GraphValidationError, make_graph
 
 @dataclass(frozen=True)
 class SpdEncoding:
-    kind: str = "spd"
+    """Plain shortest-path distance, one key per pair."""
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,6 @@ class HdseEncoding:
     algo: str = "newman"
     clip: int = 30
     seed: int = 0
-    kind: str = "hdse"
 
 
 Encoding = SpdEncoding | HdseEncoding
@@ -139,6 +138,8 @@ def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
 def _refine(graphs: list[Graph], enc: Encoding,
             max_iter: int) -> list[ColorMap]:
     """Refine graphs in lockstep until every partition is stable."""
+    if max_iter < 1:
+        raise GraphValidationError("max_iter must be >= 1")
     pairs = _pair_ids([_distance_keys(g, enc) for g in graphs])
     colors = _initial_colors(graphs)
     cms = [ColorMap() for _ in graphs]
@@ -158,8 +159,6 @@ def gd_wl_refine(g: Graph, enc: Encoding, max_iter: int | None = None) -> ColorM
     """Refine node colors until the partition stabilizes (or max_iter)."""
     if max_iter is None:
         max_iter = max(1, g.num_nodes)
-    if max_iter < 1:
-        raise GraphValidationError("max_iter must be >= 1")
     return _refine([g], enc, max_iter)[0]
 
 

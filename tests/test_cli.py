@@ -202,6 +202,18 @@ class TestCoarsen:
         oracle = girvan_newman(dodecahedron_graph(), target=None)
         assert h.levels[1].num_nodes == oracle.num_clusters
 
+    def test_huge_features_reach_encode(self, tmp_path):
+        # coarse levels carry no features, so no cluster mean can overflow
+        g, h = tmp_path / "g.json", tmp_path / "h.json"
+        g.write_text(json.dumps({"num_nodes": 2, "edges": [[0, 1]],
+                                 "features": [[1e308], [1e308]]}))
+        for args in (["coarsen", str(g), "-o", str(h)],
+                     ["encode", str(h), "-o", str(tmp_path / "t.bin")]):
+            proc = run_cli(*args, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            assert "Warning" not in proc.stderr
+        assert "Infinity" not in h.read_text()
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["coarsen", "/nonexistent/graph.txt"]) == 2
         assert "error" in capsys.readouterr().err

@@ -145,6 +145,17 @@ class TestRefine:
     def test_different_sizes_trivially_distinguished(self):
         assert distinguishes(cycle_graph(5), cycle_graph(6), SpdEncoding())
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_gd_wl_refine_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(GraphValidationError, match="max_iter"):
+            gd_wl_refine(cycle_graph(5), SpdEncoding(), max_iter=max_iter)
+
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_refine_pair_rejects_max_iter_below_one(self, max_iter):
+        with pytest.raises(GraphValidationError, match="max_iter"):
+            refine_pair(cycle_graph(5), cycle_graph(5), SpdEncoding(),
+                        max_iter=max_iter)
+
 
 class TestExpressiveness:
     def test_spd_fails_on_counterexample_pair(self):
@@ -320,6 +331,10 @@ def make_pair(kind, n, seed, features):
     return g, changed(g, kind, rng)
 
 
+def enc_name(e):
+    return "spd" if isinstance(e, SpdEncoding) else "hdse"
+
+
 ORACLE_ENCODINGS = [
     SpdEncoding(),
     HdseEncoding(levels=1, algo="louvain"),
@@ -331,7 +346,7 @@ ORACLE_ENCODINGS = [
 
 class TestRefineOracle:
     @pytest.mark.parametrize("enc", ORACLE_ENCODINGS,
-                             ids=lambda e: f"{e.kind}-{getattr(e, 'algo', '')}"
+                             ids=lambda e: f"{enc_name(e)}-{getattr(e, 'algo', '')}"
                              f"{getattr(e, 'levels', '')}")
     @pytest.mark.parametrize("kind", ["twin", "rewired", "extra_edge"])
     @pytest.mark.parametrize("features", [False, True])
@@ -412,7 +427,7 @@ class TestEmptyGraphs:
                                      HdseEncoding(levels=2, algo="louvain"),
                                      HdseEncoding(levels=1, algo="newman"),
                                      HdseEncoding(levels=2, algo="hem")],
-                             ids=lambda e: f"{e.kind}-{getattr(e, 'algo', '')}")
+                             ids=lambda e: f"{enc_name(e)}-{getattr(e, 'algo', '')}")
     def test_empty_pair_not_distinguished(self, enc):
         g = make_graph(0, [])
         cm1, cm2 = refine_pair(g, g, enc)
