@@ -8,7 +8,8 @@ Three partitioners are provided: greedy modularity (Louvain), edge-betweenness
 splitting (Girvan-Newman) and repeated maximal matching (METIS-style). All are
 deterministic for a fixed seed. Every contraction by an ``assign`` array goes
 through ``_quotient``: Louvain's aggregation, matching, ``build_coarse_graph``.
-A coarse level is that quotient and nothing else: it has no features and no
+A hierarchy is its input graph and its maps; each coarse level is derived as
+the quotient of the level below and nothing else: it has no features and no
 labels, and features reach it only through ``Hierarchy.projected_features``.
 Girvan-Newman runs no search of its own: each iteration reads its connected
 components and its Brandes betweenness from one ``spd_all_pairs`` call.
@@ -17,7 +18,7 @@ components and its Brandes betweenness from one ``spd_all_pairs`` call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,15 +42,6 @@ class Partition:
             raise GraphValidationError("cluster index out of range")
         if len(np.unique(a)) != self.num_clusters:
             raise GraphValidationError("partition not surjective")
-
-    def cluster_sizes(self) -> np.ndarray:
-        return np.bincount(self.assign, minlength=self.num_clusters)
-
-    def cluster_sums(self, x: np.ndarray) -> np.ndarray:
-        """Sum of the rows of ``x`` over each cluster, shape (num_clusters, d)."""
-        sums = np.zeros((self.num_clusters, x.shape[1]))
-        np.add.at(sums, self.assign, x)
-        return sums
 
     @staticmethod
     def from_assignment(assign) -> "Partition":
@@ -286,23 +278,31 @@ def build_coarse_graph(g: Graph, p: Partition) -> Graph:
 
 @dataclass(frozen=True)
 class Hierarchy:
-    """Coarsening hierarchy: levels[0] is the input graph.
+    """Coarsening hierarchy: the input graph and one coarsening map per level.
 
-    ``maps[k]`` sends level-k nodes to level-(k+1) clusters, and
-    ``levels[k + 1]`` is ``build_coarse_graph(levels[k], maps[k])``: coarse
-    levels are structure only. Features reach them through
-    ``projected_features``, the paper's chain X_{k+1} = P^T X_k, which is
-    what the linear attention path consumes.
+    ``maps[k]`` sends level-k nodes to level-(k+1) clusters. The levels are
+    derived, never stored: ``levels[0]`` is ``graph`` and ``levels[k + 1]``
+    is ``build_coarse_graph(levels[k], maps[k])``, structure only, so no
+    hierarchy has levels that disagree with its maps. Features reach the
+    coarse levels through ``projected_features``, the paper's chain
+    X_{k+1} = P^T X_k, which is what the linear attention path consumes.
     """
 
-    levels: list[Graph]
+    graph: Graph
     maps: list[Partition]
     algo: str = ""
     seed: int = 0
+    levels: list[Graph] = field(init=False)
+
+    def __post_init__(self):
+        levels = [self.graph]
+        for part in self.maps:
+            levels.append(build_coarse_graph(levels[-1], part))
+        object.__setattr__(self, "levels", levels)
 
     @property
     def max_level(self) -> int:
-        return len(self.levels) - 1
+        return len(self.maps)
 
     @property
     def coarsening_ratios(self) -> list[float]:
@@ -313,25 +313,29 @@ class Hierarchy:
 
     @property
     def projected_features(self) -> list[np.ndarray] | None:
-        """X_0 = levels[0].features and X_{k+1} = P_k^T X_k, one per level.
+        """X_0 = graph.features and X_{k+1} = P_k^T X_k, one per level.
 
         P_k is the one-hot matrix of ``maps[k]`` with each column divided by
-        the square root of its cluster size, so P_k^T X_k is the per-cluster
-        sum of X_k over that square root. None when the input graph has no
-        features; recomputed on each access.
+        the square root of its cluster size, so P_k^T X_k sums the rows of
+        X_k over each cluster, each row divided by that square root first so
+        that no sum overflows when its result is finite. None when the input
+        graph has no features; recomputed on each access.
         """
-        x = self.levels[0].features
+        x = self.graph.features
         if x is None:
             return None
         chain = [x]
         for part in self.maps:
-            chain.append(part.cluster_sums(chain[-1])
-                         / np.sqrt(part.cluster_sizes())[:, None])
+            c = part.num_clusters
+            root = np.sqrt(np.bincount(part.assign, minlength=c))
+            sums = np.zeros((c, x.shape[1]))
+            np.add.at(sums, part.assign, chain[-1] / root[part.assign, None])
+            chain.append(sums)
         return chain
 
     def image(self, k: int) -> np.ndarray:
         """Composed map from level-0 nodes to level-k nodes."""
-        img = np.arange(self.levels[0].num_nodes)
+        img = np.arange(self.graph.num_nodes)
         for part in self.maps[:k]:
             img = part.assign[img]
         return img
@@ -357,31 +361,30 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
         raise GraphValidationError("level count must be >= 0")
     if algo not in ALGOS:
         raise GraphValidationError(f"unknown coarsening algorithm {algo!r}")
-    graphs = [g]
     maps: list[Partition] = []
+    cur = g
     for _ in range(levels):
-        cur = graphs[-1]
         if cur.num_nodes <= 1:
             part = Partition(np.zeros(cur.num_nodes, dtype=np.int64),
                              cur.num_nodes)
         else:
             part = ALGOS[algo](cur, ratio, seed)
         maps.append(part)
-        graphs.append(build_coarse_graph(cur, part))
-    return Hierarchy(graphs, maps, algo=algo, seed=seed)
+        cur = build_coarse_graph(cur, part)
+    return Hierarchy(g, maps, algo=algo, seed=seed)
 
 
 def permute_hierarchy(h: Hierarchy, sigma: NodePermutation) -> Hierarchy:
     """Relabel the base level by sigma, composing sigma into the first map.
 
-    Coarse levels are untouched; no coarsening is re-run.
+    No coarsening is re-run. The coarse levels derived from the relabelled
+    base and first map are the same graphs as before.
     """
     maps = list(h.maps)
     if maps:
         inv = sigma.inverse().forward
         maps[0] = Partition(maps[0].assign[inv], maps[0].num_clusters)
-    return Hierarchy([permute(h.levels[0], sigma)] + list(h.levels[1:]), maps,
-                     algo=h.algo, seed=h.seed)
+    return Hierarchy(permute(h.graph, sigma), maps, algo=h.algo, seed=h.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -389,9 +392,8 @@ def permute_hierarchy(h: Hierarchy, sigma: NodePermutation) -> Hierarchy:
 
 def hierarchy_to_json(h: Hierarchy) -> str:
     obj = {
-        "levels": [g.to_json_dict() for g in h.levels],
+        "graph": h.graph.to_json_dict(),
         "maps": [p.assign.tolist() for p in h.maps],
-        "ratios": h.coarsening_ratios,
         "algo": h.algo,
         "seed": h.seed,
     }
@@ -405,47 +407,29 @@ def _is_int(v) -> bool:
 def hierarchy_from_json(data) -> Hierarchy:
     """Parse ``hierarchy_to_json`` output.
 
-    A malformed object raises GraphParseError: wrong types, a map count that
-    is not one less than the level count, a ratio other than the next level's
-    node count over its level's (1.0 for an empty level), a map entry that is
-    not a cluster of the next level, a map whose length differs from the size
-    of its level, or a level that is not exactly ``build_coarse_graph`` of
-    the level below under its map (so a coarse level carries no features and
-    no labels). A map that leaves a cluster empty raises GraphValidationError.
+    The object must have exactly the keys ``graph``, ``maps``, ``algo`` and
+    ``seed``, and each map must list one integer cluster id in [0, n) per
+    node of its n-node level; anything else, a file with the coarse
+    ``levels`` of the older format included, raises GraphParseError. A map
+    whose ids leave a cluster empty raises GraphValidationError. The coarse
+    levels are derived from the graph and the maps, never read.
     """
     obj = parse_json(data)
     if not (isinstance(obj, dict)
-            and all(isinstance(obj.get(key), list)
-                    for key in ("levels", "maps", "ratios"))
-            and isinstance(obj.get("algo", ""), str)
-            and _is_int(obj.get("seed", 0))):
-        raise GraphParseError("hierarchy JSON needs 'levels', 'maps' and "
-                              "'ratios' lists, a string 'algo' and an "
-                              "integer 'seed'")
-    if not obj["levels"] or not (len(obj["maps"]) == len(obj["ratios"])
-                                 == len(obj["levels"]) - 1):
-        raise GraphParseError("hierarchy JSON needs one map and one ratio "
-                              "per level above the base")
-    levels = [graph_from_json_dict(d) for d in obj["levels"]]
+            and set(obj) == {"graph", "maps", "algo", "seed"}
+            and isinstance(obj["maps"], list)
+            and isinstance(obj["algo"], str) and _is_int(obj["seed"])):
+        raise GraphParseError("hierarchy JSON needs exactly a 'graph' object, "
+                              "a 'maps' list, a string 'algo' and an integer "
+                              "'seed'")
+    g = graph_from_json_dict(obj["graph"])
+    maps, n = [], g.num_nodes
     for k, a in enumerate(obj["maps"]):
-        c = levels[k + 1].num_nodes
-        if not (isinstance(a, list)
-                and all(_is_int(i) and 0 <= i < c for i in a)):
-            raise GraphParseError(f"map {k} must be a list of cluster ids "
-                                  f"in [0, {c})")
-        if len(a) != levels[k].num_nodes:
-            raise GraphParseError(f"map {k} has {len(a)} entries, level {k} "
-                                  f"has {levels[k].num_nodes} nodes")
-    h = Hierarchy(levels, [Partition(np.asarray(a, dtype=np.int64),
-                                     levels[k + 1].num_nodes)
-                           for k, a in enumerate(obj["maps"])],
-                  algo=obj.get("algo", ""), seed=obj.get("seed", 0))
-    ratios = h.coarsening_ratios
-    if any(isinstance(r, bool) or r != want
-           for r, want in zip(obj["ratios"], ratios)):
-        raise GraphParseError(f"hierarchy ratios must be {ratios}")
-    for k, part in enumerate(h.maps):
-        if build_coarse_graph(levels[k], part) != levels[k + 1]:
-            raise GraphParseError(f"level {k + 1} is not the quotient of "
-                                  f"level {k} under map {k}")
-    return h
+        if not (isinstance(a, list) and len(a) == n
+                and all(_is_int(i) and 0 <= i < n for i in a)):
+            raise GraphParseError(f"map {k} must list one cluster id in "
+                                  f"[0, {n}) per node of level {k}")
+        maps.append(Partition(np.asarray(a, dtype=np.int64),
+                              max(a, default=-1) + 1))
+        n = maps[-1].num_clusters
+    return Hierarchy(g, maps, algo=obj["algo"], seed=obj["seed"])

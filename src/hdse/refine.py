@@ -227,22 +227,16 @@ def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
     if n < 1 or seed < 0:
         raise GraphValidationError("community_pair needs n >= 1 and seed >= 0")
     rng = np.random.default_rng(seed)
+    # one uniform draw per candidate edge, in row-major order
+    iu, ju = np.triu_indices(n, 1)
     edges = []
     for base in (0, n):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.append((base + i, base + j))
-    inter = 0
-    for i in range(n):
-        for j in range(n):
-            if rng.random() < q:
-                edges.append((i, n + j))
-                inter += 1
-    if inter == 0:
-        edges.append((0, n))
+        hit = rng.random(len(iu)) < p
+        edges.append(np.column_stack([iu[hit], ju[hit]]) + base)
+    i, j = np.nonzero(rng.random((n, n)) < q)
+    edges.append(np.column_stack([i, j + n]) if len(i) else [[0, n]])
     labels = np.repeat([0, 1], n)
-    return make_graph(2 * n, edges, labels=labels)
+    return make_graph(2 * n, np.concatenate(edges), labels=labels)
 
 
 _NAME_RE = re.compile(r"^(\w+)(?:\(([^)]*)\))?$")

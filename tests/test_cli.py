@@ -86,6 +86,22 @@ class TestMalformedJson:
         self.run(tmp_path, "encode", "h.json",
                  {"levels": 3, "maps": [], "ratios": []})
 
+    def test_encode_old_format_names_new_keys(self, p3_file, tmp_path):
+        out = tmp_path / "full.json"
+        assert main(["coarsen", p3_file, "-K", "1", "-o", str(out)]) == 0
+        h = hierarchy_from_json(out.read_text())
+        old = {"levels": [g.to_json_dict() for g in h.levels],
+               "maps": [p.assign.tolist() for p in h.maps],
+               "ratios": h.coarsening_ratios, "algo": h.algo, "seed": h.seed}
+        f = tmp_path / "old.json"
+        f.write_text(json.dumps(old))
+        proc = run_cli("encode", str(f), "-o", str(tmp_path / "t.bin"),
+                       cwd=tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        for key in ("'graph'", "'maps'", "'algo'", "'seed'"):
+            assert key in proc.stderr
+
     def test_encode_top_level_array(self, tmp_path):
         self.run(tmp_path, "encode", "h.json", [1, 2])
 

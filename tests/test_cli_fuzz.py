@@ -3,22 +3,24 @@
 Every subcommand is called in-process on generated files. No exception may
 escape ``main``; ``coarsen``, ``encode`` and ``named-graph`` return 0, 2 or 3,
 and only ``gdwl`` may return 1 (a negative verdict). ``coarsen`` and ``gdwl``
-run under each coarsening algorithm. A well-formed hierarchy
-whose coarse levels are not the quotients of the levels below is a parse
-error (2), and so is a graph or hierarchy with a boolean, NaN or infinity
-where a number belongs. Node counts and ids are kept small so that every
-example runs in milliseconds.
+run under each coarsening algorithm. A hierarchy file is its base graph and
+its maps; a map that empties a cluster, has the wrong length or names a
+cluster id past its level's node count is a parse error (2), and so is a
+file in the older format that stores the coarse levels, and a graph or
+hierarchy with a boolean, NaN or infinity where a number belongs. Node
+counts and ids are kept small so that every example runs in milliseconds.
 """
 
 import copy
 import json
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdse.cli import main
-from hdse.coarsen import build_hierarchy, hierarchy_to_json
+from hdse.coarsen import (build_hierarchy, hierarchy_from_json,
+                          hierarchy_to_json)
 from hdse.graph import make_graph
 
 LIMIT = 300            # largest generated node count or id
@@ -114,39 +116,32 @@ def test_encode(tmp_path_factory, payload):
 
 @st.composite
 def inconsistent_hierarchy(draw):
-    """A valid hierarchy whose level k is no longer the quotient of level
-    k - 1 under map k - 1: one coarse edge toggled, coarse features or
-    labels added, one node sent to another cluster where that empties a
-    cluster or changes the coarse edges, or ratio k - 1 changed to any
-    other float."""
+    """A valid hierarchy with one map broken: a cluster emptied, the length
+    changed or an id at or past its level's node count, or the whole
+    document written in the older format with its coarse levels."""
     obj = valid_hierarchy_dict(draw(st.integers(0, 50)))
-    k = draw(st.integers(1, len(obj["levels"]) - 1))
-    level, n = obj["levels"][k], obj["levels"][k]["num_nodes"]
-    kinds = ["features", "labels", "ratio"]
-    kinds += ["edge", "map"] if n > 1 else []
-    kind = draw(st.sampled_from(kinds))
-    if kind == "features":
-        level["features"] = [[draw(st.floats(allow_nan=False,
-                                             allow_infinity=False))]] * n
-    elif kind == "labels":
-        level["labels"] = [0] * n
-    elif kind == "ratio":
-        ratio = obj["ratios"][k - 1]
-        obj["ratios"][k - 1] = draw(st.floats().filter(lambda r: r != ratio))
-    elif kind == "edge":
-        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2,
-                                    max_size=2, unique=True)))
-        level["edges"] = sorted(set(map(tuple, level["edges"])) ^ {(u, v)})
+    kind = draw(st.sampled_from(["empty", "length", "range", "old"]))
+    if kind == "old":
+        h = hierarchy_from_json(json.dumps(obj))
+        return json.dumps({"levels": [g.to_json_dict() for g in h.levels],
+                           "maps": obj["maps"],
+                           "ratios": h.coarsening_ratios,
+                           "algo": obj["algo"], "seed": obj["seed"]}).encode()
+    k = draw(st.integers(0, len(obj["maps"]) - 1))
+    m = obj["maps"][k]
+    n, c = len(m), max(m) + 1
+    if kind == "empty" and c < n:
+        # ids from j up move one higher: cluster j is left empty
+        j = draw(st.integers(0, c - 1))
+        m[:] = [i + (i >= j) for i in m]
+    elif kind == "length":
+        if draw(st.booleans()):
+            m.pop()
+        else:
+            m.append(draw(st.integers(0, n - 1)))
     else:
-        m = obj["maps"][k - 1]
-        i = draw(st.integers(0, len(m) - 1))
-        m[i] = (m[i] + draw(st.integers(1, n - 1))) % n
-        # a moved node may leave every coarse edge as it was: such a map
-        # is another valid hierarchy, not an inconsistent one
-        quotient = {tuple(sorted((m[u], m[v])))
-                    for u, v in obj["levels"][k - 1]["edges"] if m[u] != m[v]}
-        assume(set(m) != set(range(n))
-               or quotient != set(map(tuple, level["edges"])))
+        # also taken for "empty" when the map uses all n ids already
+        m[draw(st.integers(0, n - 1))] = draw(st.integers(n, LIMIT))
     return json.dumps(obj).encode()
 
 
@@ -157,13 +152,13 @@ def test_encode_rejects_inconsistent_hierarchy(tmp_path_factory, payload):
     assert rc == 2
 
 
-NUMERIC_FIELDS = {"edges", "labels", "features", "maps", "ratios"}
+NUMERIC_FIELDS = {"edges", "labels", "features", "maps"}
 
 
 @st.composite
 def non_number_entry(draw, make):
-    """A valid document with one number in its edges, labels, features,
-    maps or ratios replaced by a JSON boolean, NaN or +-Infinity."""
+    """A valid document with one number in its edges, labels, features or
+    maps replaced by a JSON boolean, NaN or +-Infinity."""
     obj = make(draw(st.integers(0, 50)))
     leaves = [path for path in paths(obj) if set(path) & NUMERIC_FIELDS
               and not isinstance(entry(obj, path), list)]

@@ -1,6 +1,7 @@
 import json
+import warnings
 from collections import deque
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -675,9 +676,37 @@ class TestHierarchy:
         h = build_hierarchy(make_graph(0, []), algo, 2)
         assert [lvl.num_nodes for lvl in h.levels] == [0, 0, 0]
         assert [p.num_clusters for p in h.maps] == [0, 0]
-        assert h.coarsening_ratios == [1.0, 1.0]
         back = hierarchy_from_json(hierarchy_to_json(h))
         assert [lvl.num_nodes for lvl in back.levels] == [0, 0, 0]
+        for x in (h, back):
+            assert x.coarsening_ratios == [1.0, 1.0]
+            assert all(type(r) is float for r in x.coarsening_ratios)
+
+    def test_projected_features_do_not_overflow(self):
+        # the exact level-1 value is 2e308 / sqrt(2), about 1.414e308
+        g = make_graph(2, [(0, 1)], features=[[1e308], [1e308]])
+        h = build_hierarchy(g, "louvain", 1)
+        assert h.maps[0].num_clusters == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            x1 = h.projected_features[1]
+        assert np.isfinite(x1).all()
+        np.testing.assert_allclose(x1, [[np.sqrt(2) * 1e308]], rtol=1e-15)
+
+    def test_fields_are_graph_and_maps(self):
+        h = build_hierarchy(two_cliques_bridge(4), "louvain", 2, seed=1)
+        assert [f.name for f in fields(Hierarchy) if f.init] == \
+            ["graph", "maps", "algo", "seed"]
+        assert h.levels[0] is h.graph
+        for k, part in enumerate(h.maps):
+            assert h.levels[k + 1] == build_coarse_graph(h.levels[k], part)
+        assert set(json.loads(hierarchy_to_json(h))) == \
+            {"graph", "maps", "algo", "seed"}
+
+    def test_map_of_wrong_size_is_refused(self):
+        g = two_cliques_bridge(4)
+        with pytest.raises(GraphValidationError, match="size mismatch"):
+            Hierarchy(g, [Partition(np.zeros(7, dtype=np.int64), 1)])
 
 
 class TestComposedProjection:
@@ -719,20 +748,39 @@ def test_hierarchy_json_roundtrip():
     assert h2.algo == h.algo and h2.seed == h.seed
 
 
-@pytest.mark.parametrize("ratios", [[0.123, 7.0], [float("nan"), -1e300],
-                                    [0.25, 0.4 + 1e-16], [True, 0.4],
-                                    ["0.25", 0.4], [0.25, None]])
-def test_hierarchy_json_ratios_are_checked(ratios):
-    # a 20 -> 5 -> 2 hierarchy: its ratios can only be 5/20 and 2/5
+def test_hierarchy_json_maps_are_checked():
+    # a 20 -> 5 -> 2 hierarchy
     h = build_hierarchy(make_graph(20, [(i, i + 1) for i in range(19)]),
                         "louvain", 2)
-    assert h.coarsening_ratios == [0.25, 0.4]
     obj = json.loads(hierarchy_to_json(h))
-    back = hierarchy_from_json(json.dumps(obj))
-    assert back.coarsening_ratios == [0.25, 0.4]
-    obj["ratios"] = ratios
-    with pytest.raises(GraphParseError, match="ratios"):
-        hierarchy_from_json(json.dumps(obj))
+    assert [len(a) for a in obj["maps"]] == [20, 5]
+    for k, bad in ((0, obj["maps"][0][:-1]), (1, obj["maps"][1] + [0]),
+                   (1, [5, 0, 0, 1, 1]), (0, [True] + obj["maps"][0][1:]),
+                   (1, "01011")):
+        doc = dict(obj, maps=list(obj["maps"]))
+        doc["maps"][k] = bad
+        with pytest.raises(GraphParseError, match=f"map {k} "):
+            hierarchy_from_json(json.dumps(doc))
+    # cluster 1 of level 1 left empty
+    doc = dict(obj, maps=[obj["maps"][0], [0, 0, 2, 2, 2]])
+    with pytest.raises(GraphValidationError, match="surjective"):
+        hierarchy_from_json(json.dumps(doc))
+
+
+def test_hierarchy_json_old_format_is_refused():
+    """A file with the coarse levels and ratios stored is not read."""
+    h = build_hierarchy(make_graph(20, [(i, i + 1) for i in range(19)]),
+                        "louvain", 2)
+    old = {"levels": [g.to_json_dict() for g in h.levels],
+           "maps": [p.assign.tolist() for p in h.maps],
+           "ratios": h.coarsening_ratios, "algo": h.algo, "seed": h.seed}
+    with pytest.raises(GraphParseError, match="'graph'.*'maps'"):
+        hierarchy_from_json(json.dumps(old))
+    # the new keys with the old ones added are refused as well
+    new = json.loads(hierarchy_to_json(h))
+    for key in ("levels", "ratios"):
+        with pytest.raises(GraphParseError, match="exactly"):
+            hierarchy_from_json(json.dumps({**new, key: old[key]}))
 
 
 def assert_same_bytes(a, b):

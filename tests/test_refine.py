@@ -62,6 +62,26 @@ def is_bipartite(g):
     return True
 
 
+def loop_community_pair(n, p, q, seed):
+    """community_pair_graph drawing one scalar per candidate edge."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for base in (0, n):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < p:
+                    edges.append((base + i, base + j))
+    inter = 0
+    for i in range(n):
+        for j in range(n):
+            if rng.random() < q:
+                edges.append((i, n + j))
+                inter += 1
+    if inter == 0:
+        edges.append((0, n))
+    return make_graph(2 * n, edges, labels=np.repeat([0, 1], n))
+
+
 class TestNamedGraphs:
     def test_dodecahedron(self):
         g = dodecahedron_graph()
@@ -95,6 +115,14 @@ class TestNamedGraphs:
         # at least one inter-block edge by construction
         edges = g.edge_array()
         assert np.any((edges[:, 0] < 10) & (edges[:, 1] >= 10))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 15, 40])
+    def test_community_pair_equals_scalar_loops(self, n):
+        for p in (0.0, 0.3, 1.0):
+            for q in (0.0, 0.05, 1.0):
+                for seed in range(20):
+                    assert (community_pair_graph(n, p, q, seed)
+                            == loop_community_pair(n, p, q, seed))
 
     def test_name_parsing(self):
         assert make_named_graph("cycle(6)").num_nodes == 6
