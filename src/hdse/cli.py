@@ -109,11 +109,11 @@ def cmd_gdwl(args) -> int:
         distinguished = cm1.histogram() != cm2.histogram()
         stable = None
         if distinguished and args.enc == "hdse":
-            # stability of the verdict across coarsening seeds; the verdict
-            # under args.seed is the one just computed
-            stable = 1 + sum(
+            # stability across coarsening seeds: args.seed's verdict is the
+            # one just computed, and an algorithm ignoring the seed repeats it
+            stable = 1 + (2 if args.algo not in coarsen.SEEDED else sum(
                 refine.distinguishes(g1, g2, replace(enc, seed=s))
-                for s in range(args.seed + 1, args.seed + 3))
+                for s in range(args.seed + 1, args.seed + 3)))
     except graph.GraphValidationError as e:
         raise SystemExitError(EXIT_CONFIG, str(e))
     verdict = {

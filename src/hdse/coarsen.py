@@ -11,8 +11,10 @@ through ``_quotient``: Louvain's aggregation, matching, ``build_coarse_graph``.
 A hierarchy is its input graph and its maps; each coarse level is derived as
 the quotient of the level below and nothing else: it has no features and no
 labels, and features reach it only through ``Hierarchy.projected_features``.
-Girvan-Newman runs no search of its own: each iteration reads its connected
-components and its Brandes betweenness from one ``spd_all_pairs`` call.
+Girvan-Newman runs no search of its own: after each edge removal, one
+``spd_all_pairs`` call on the component that lost the edge gives that
+component's distances, its split and its Brandes betweenness. With no target
+it stops once an exact modularity bound shows no later partition can win.
 """
 
 from __future__ import annotations
@@ -179,15 +181,14 @@ def edge_betweenness(g: Graph, d: np.ndarray) -> np.ndarray:
     u, v = g.edge_array().T
     a = np.zeros((n, n))
     a[u, v] = a[v, u] = 1.0
-    depth = int(d.max(initial=0))
+    on = [d == k for k in range(int(d.max(initial=0)) + 1)]
     sigma = np.eye(n)
-    for k in range(1, depth + 1):
-        sigma += ((sigma * (d == k - 1)) @ a) * (d == k)
+    for k in range(1, len(on)):
+        sigma += ((sigma * on[k - 1]) @ a) * on[k]
     delta, w = np.zeros((n, n)), np.zeros((n, n))
-    for k in range(depth, 0, -1):
-        on = d == k
-        w[on] = (1.0 + delta[on]) / sigma[on]
-        delta += ((w * on) @ a) * sigma * (d == k - 1)
+    for k in range(len(on) - 1, 0, -1):
+        np.divide(1.0 + delta, sigma, out=w, where=on[k])
+        delta += ((w * on[k]) @ a) * sigma * on[k - 1]
     du, dv = d[:, u], d[:, v]
     return ((dv == du + 1) * sigma[:, u] * w[:, v]
             + (du == dv + 1) * sigma[:, v] * w[:, u]).sum(axis=0) / 2.0
@@ -201,15 +202,26 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     iteration, ties broken by smallest edge id, and the betweenness is
     recomputed after every removal; removing whole tie groups at once would
     erase every edge of a vertex-transitive graph in one step and never
-    produce a nontrivial split. Each iteration solves ``spd_all_pairs`` once
-    and reads both the components and the betweenness from it.
+    produce a nontrivial split. Only the component that lost the edge is
+    recomputed, by one ``spd_all_pairs`` call on its subgraph that gives its
+    distances, components and betweenness; nothing outside it can change.
+
+    With ``target=None`` the loop stops once no later partition can win:
+    each refines the current components P, so its modularity is at most
+    intra(P)/m - sum_v (deg_v/2m)^2, intra(P) counting the edges of ``g``
+    inside P's clusters. The 1e-9 slack in that test keeps float rounding
+    from stopping before a partition that would have won.
     """
-    n = g.num_nodes
+    n, m = g.num_nodes, max(g.num_edges, 1)  # an edgeless graph scores 0
     if target is not None and target > n:
         raise GraphValidationError(f"target {target} exceeds {n} nodes")
-    cur, best, best_q = g, None, -np.inf
+    ge = edges = g.edge_array()
+    deg = g.degrees().astype(np.float64)
+    floor = float(np.sum((deg / (2.0 * m)) ** 2))
+    d = spd_all_pairs(g)
+    bet = edge_betweenness(g, d)
+    best, best_q = None, -np.inf
     while True:
-        d = spd_all_pairs(cur)
         # each node is labeled by the smallest node it reaches
         part = Partition.from_assignment(
             np.where(d >= 0, np.arange(n), n).min(axis=1, initial=n))
@@ -217,14 +229,25 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
             best = part
             if best.num_clusters >= target:
                 return best
-        elif (q := modularity(g, part)) > best_q + 1e-12:
-            best, best_q = part, q
-        if not cur.num_edges:
+        else:
+            inside = np.sum(part.assign[ge[:, 0]] == part.assign[ge[:, 1]]) / m
+            deg_sum = np.bincount(part.assign, deg, part.num_clusters)
+            q = inside - float(np.sum((deg_sum / (2.0 * m)) ** 2))
+            if q > best_q + 1e-12:
+                best, best_q = part, q
+            if inside - floor < best_q - 1e-9:
+                return best
+        if not len(edges):
             return best
-        bet = edge_betweenness(cur, d)
-        # edge_array() is lexsorted: the first maximal edge has the smallest id
+        # edges stay lexsorted: the first maximal edge has the smallest id
         drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
-        cur = make_graph(n, np.delete(cur.edge_array(), drop, axis=0))
+        comp = d[edges[drop, 0]] >= 0  # the component losing the edge
+        edges, bet = np.delete(edges, drop, axis=0), np.delete(bet, drop)
+        # renumbering comp's nodes in increasing order keeps its edges sorted
+        mine = comp[edges[:, 0]]
+        sub = make_graph(int(comp.sum()), (np.cumsum(comp) - 1)[edges[mine]])
+        d[np.ix_(comp, comp)] = ds = spd_all_pairs(sub)
+        bet[mine] = edge_betweenness(sub, ds)
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +370,8 @@ ALGOS = {
     "newman": lambda g, ratio, seed: girvan_newman(g, target=None),
     "hem": lambda g, ratio, seed: heavy_edge_matching(g, ratio),
 }
+# The algorithms whose partition depends on the seed; the others ignore it.
+SEEDED = {"louvain"}
 
 
 def build_hierarchy(g: Graph, algo: str, levels: int,

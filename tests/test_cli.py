@@ -335,27 +335,42 @@ class TestGdwl:
     def test_stability_report_reuses_the_main_verdict(self, tmp_path,
                                                       dodeca_file, capsys,
                                                       monkeypatch):
+        # louvain reruns the next two seeds; newman and hem ignore the seed,
+        # so their main verdict stands for all three, printed the same way
         from hdse import refine
         des = tmp_path / "des.txt"
         assert main(["named-graph", "desargues", "-o", str(des)]) == 0
-        calls = []
+        g1, g2 = dodecahedron_graph(), desargues_graph()
         original = refine.refine_pair
+        for algo, seeds in (("newman", [0]), ("hem", [0]),
+                            ("louvain", [0, 1, 2])):
+            cm1, cm2 = original(g1, g2, refine.HdseEncoding(algo=algo))
+            verdict = {
+                "distinguished": cm1.histogram() != cm2.histogram(),
+                "iterations": len(cm1.colors) - 1,
+                "histogram_g1": sorted(cm1.histogram().values(), reverse=True),
+                "histogram_g2": sorted(cm2.histogram().values(), reverse=True),
+            }
+            stable = 1 + sum(
+                refine.distinguishes(g1, g2,
+                                     refine.HdseEncoding(algo=algo, seed=s))
+                for s in (1, 2))
+            calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return original(*args, **kwargs)
+            def counting(*args, **kwargs):
+                calls.append(args[2])
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(refine, "refine_pair", counting)
-        capsys.readouterr()
-        assert main(["gdwl", dodeca_file, str(des), "--enc", "hdse",
-                     "--algo", "newman"]) == 0
-        assert [enc.seed for enc in calls] == [0, 1, 2]
-        stable = 1 + sum(
-            refine.distinguishes(dodecahedron_graph(), desargues_graph(),
-                                 refine.HdseEncoding(seed=s))
-            for s in (1, 2))
-        assert (f"distinguished under {stable}/3 coarsening seeds"
-                in capsys.readouterr().err)
+            monkeypatch.setattr(refine, "refine_pair", counting)
+            capsys.readouterr()
+            assert main(["gdwl", dodeca_file, str(des), "--enc", "hdse",
+                         "--algo", algo]) == 0
+            monkeypatch.setattr(refine, "refine_pair", original)
+            assert [enc.seed for enc in calls] == seeds
+            out, err = capsys.readouterr()
+            assert out == json.dumps(verdict, sort_keys=True) + "\n"
+            assert err == (f"distinguished under {stable}/3 coarsening "
+                           "seeds\n")
 
     @pytest.mark.parametrize("flags", [["--levels", "-1"], ["--clip", "0"],
                                        ["--clip", "300"]])

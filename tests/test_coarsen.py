@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdse import coarsen
 from hdse.coarsen import (Hierarchy, Partition, _quotient,
                           build_coarse_graph, build_hierarchy,
                           edge_betweenness, girvan_newman,
@@ -298,28 +299,42 @@ def betweenness_oracle(n, adj):
     return {e: b / 2.0 for e, b in bet.items()}
 
 
-def girvan_newman_oracle(g, target=None):
-    """Girvan-Newman over ``list[set]`` adjacency with the two oracles above."""
+def removal_sequence_oracle(g):
+    """The component partitions of ``g`` along the full Girvan-Newman removal
+    sequence, from no edge removed to none left, over ``list[set]``
+    adjacency with the two oracles above."""
     n = g.num_nodes
     adj = [set(map(int, g.neighbors(v))) for v in range(n)]
-    best = Partition.from_assignment(components_oracle(n, adj))
-    best_q = modularity(g, best)
+    yield Partition.from_assignment(components_oracle(n, adj))
     while any(adj[v] for v in range(n)):
-        if target is not None and best.num_clusters >= target:
-            return best
         bet = betweenness_oracle(n, adj)
         bmax = max(bet.values())
         u, v = min(e for e, b in bet.items() if b >= bmax * (1.0 - 1e-9))
         adj[u].discard(v)
         adj[v].discard(u)
-        part = Partition.from_assignment(components_oracle(n, adj))
+        yield Partition.from_assignment(components_oracle(n, adj))
+
+
+def girvan_newman_oracle(g, target=None):
+    """Girvan-Newman over the whole removal sequence, with no early stop."""
+    best, best_q = None, -np.inf
+    for part in removal_sequence_oracle(g):
         if target is not None:
             best = part
-        else:
-            q = modularity(g, part)
-            if q > best_q + 1e-12:
-                best, best_q = part, q
+            if best.num_clusters >= target:
+                return best
+        elif (q := modularity(g, part)) > best_q + 1e-12:
+            best, best_q = part, q
     return best
+
+
+def modularity_bound_oracle(g, part):
+    """intra/m - sum_v (deg_v / 2m)^2 by Python loops, where intra counts the
+    edges of ``g`` inside ``part``'s clusters."""
+    m = g.num_edges
+    intra = sum(part.assign[u] == part.assign[v]
+                for u, v in g.edge_array().tolist())
+    return intra / m - sum((k / (2 * m)) ** 2 for k in g.degrees().tolist())
 
 
 def ring_of_cliques(k, size, extra=0):
@@ -390,6 +405,28 @@ def small_graphs(draw):
                           if rng.random() < p])
 
 
+@st.composite
+def multi_component_graphs(draw):
+    """Graphs of several components, node ids shuffled: a small ring of
+    cliques with isolated extras, or a disjoint union of small random
+    graphs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        g = ring_of_cliques(draw(st.integers(3, 5)), draw(st.integers(3, 4)),
+                            extra=draw(st.integers(1, 3)))
+    else:
+        n, edges = 0, []
+        for _ in range(draw(st.integers(2, 4))):
+            k = draw(st.integers(1, 7))
+            p = draw(st.sampled_from([0.3, 0.5, 0.8]))
+            edges += [(n + i, n + j) for i in range(k)
+                      for j in range(i + 1, k) if rng.random() < p]
+            n += k
+        g = make_graph(n, edges)
+    sigma = rng.permutation(g.num_nodes)
+    return make_graph(g.num_nodes, sigma[g.edge_array()])
+
+
 def assert_betweenness_matches(g):
     adj = [set(map(int, g.neighbors(v))) for v in range(g.num_nodes)]
     want = betweenness_oracle(g.num_nodes, adj)
@@ -424,6 +461,43 @@ class TestGirvanNewmanAgainstOracle:
             assert_betweenness_matches(g)
             for target in (None, 2):
                 assert_girvan_newman_matches(g, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_component_graphs())
+    def test_several_components(self, g):
+        assert_betweenness_matches(g)
+        for target in (None, 1, 2, 3):
+            if target is None or target <= g.num_nodes:
+                assert_girvan_newman_matches(g, target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    def test_modularity_bound_holds_along_the_sequence(self, g):
+        # every later partition refines the current one, so none scores
+        # above the current partition's bound
+        if not g.num_edges:
+            return
+        parts = list(removal_sequence_oracle(g))
+        later_best = -np.inf
+        for part in reversed(parts):
+            later_best = max(later_best, modularity(g, part))
+            assert later_best <= modularity_bound_oracle(g, part) + 1e-12
+
+    def test_stops_before_the_last_edge(self, monkeypatch):
+        g = ring_of_cliques(8, 4)
+        calls = []
+        original = coarsen.spd_all_pairs
+
+        def counting(sub):
+            calls.append(sub.num_nodes)
+            return original(sub)
+
+        monkeypatch.setattr(coarsen, "spd_all_pairs", counting)
+        got = girvan_newman(g)
+        # the full sequence solves once per edge removed and once before
+        assert len(calls) < g.num_edges + 1
+        np.testing.assert_array_equal(got.assign,
+                                      girvan_newman_oracle(g).assign)
 
 
 def quotient_oracle(edges, weights, assign, c):
