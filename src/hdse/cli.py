@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -130,8 +131,10 @@ def cmd_gdwl(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.epochs < 1 or args.seeds < 1 or not 0 < args.lr:
-        raise SystemExitError(EXIT_CONFIG, "epochs, seeds and lr must be positive")
+    if (args.epochs < 1 or args.seeds < 1 or args.seed < 0
+            or not 0 < args.lr < math.inf):
+        raise SystemExitError(EXIT_CONFIG, "epochs, seeds and a finite lr "
+                              "must be positive, and seed >= 0")
     cfg = demo.DemoConfig(epochs=args.epochs, lr=args.lr)
     seeds = list(range(args.seed, args.seed + args.seeds))
     results, means = demo.run_all_encodings(seeds, cfg)

@@ -139,6 +139,8 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
     Deterministic for a fixed seed: nodes are scanned in a seeded-shuffled
     order and gain ties go to the smallest community index.
     """
+    if seed < 0:
+        raise GraphValidationError(f"seed must be >= 0, got {seed}")
     if g.num_nodes == 0:
         raise GraphValidationError("empty graph")
     if g.num_edges == 0:
@@ -304,7 +306,7 @@ class Hierarchy:
     """Coarsening hierarchy: the input graph and one coarsening map per level.
 
     ``maps[k]`` sends level-k nodes to level-(k+1) clusters. The levels are
-    derived, never stored: ``levels[0]`` is ``graph`` and ``levels[k + 1]``
+    derived, never passed in: ``levels[0]`` is ``graph`` and ``levels[k + 1]``
     is ``build_coarse_graph(levels[k], maps[k])``, structure only, so no
     hierarchy has levels that disagree with its maps. Features reach the
     coarse levels through ``projected_features``, the paper's chain
@@ -386,17 +388,18 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
         raise GraphValidationError("level count must be >= 0")
     if algo not in ALGOS:
         raise GraphValidationError(f"unknown coarsening algorithm {algo!r}")
-    maps: list[Partition] = []
-    cur = g
+    # each level is contracted once, here, and appended with its map
+    h = Hierarchy(g, [], algo=algo, seed=seed)
     for _ in range(levels):
+        cur = h.levels[-1]
         if cur.num_nodes <= 1:
             part = Partition(np.zeros(cur.num_nodes, dtype=np.int64),
                              cur.num_nodes)
         else:
             part = ALGOS[algo](cur, ratio, seed)
-        maps.append(part)
-        cur = build_coarse_graph(cur, part)
-    return Hierarchy(g, maps, algo=algo, seed=seed)
+        h.maps.append(part)
+        h.levels.append(build_coarse_graph(cur, part))
+    return h
 
 
 def permute_hierarchy(h: Hierarchy, sigma: NodePermutation) -> Hierarchy:

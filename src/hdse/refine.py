@@ -9,7 +9,8 @@ renumbered every iteration jointly over the graphs refined together: within
 one iteration, equal ids mean equal colors across a pair, so histograms are
 directly comparable; ids of different iterations are unrelated. Ids come
 from sorting and comparing rows, never from hashing, so two different
-colors can never merge.
+colors can never merge. Every step refines the partition before it, so the
+loop stops when no graph gains a color, within max(1, n1, n2) steps.
 """
 
 from __future__ import annotations
@@ -125,49 +126,38 @@ def _refine_step(pairs: list[np.ndarray],
                         for p, c in zip(pairs, colors)])
 
 
-def _same_partition(a: np.ndarray, b: np.ndarray) -> bool:
-    """True when two colorings induce the same grouping of nodes.
+def _refine(graphs: list[Graph], enc: Encoding) -> list[ColorMap]:
+    """Refine graphs in lockstep until no graph gains a color.
 
-    They do when the distinct (a, b) color pairs are as many as the distinct
-    colors of a and of b, i.e. when a's and b's classes match one to one.
+    Each step refines the one before: a node's multiset holds its own
+    (diagonal pair id, color) entry, and only v = u has the diagonal id. So
+    a partition is stable exactly when its color count stops growing, and
+    it stays stable, the next step depending on the partition alone. A
+    count can grow at most n - 1 times, so the loop ends within
+    max(1, n1, n2) steps.
     """
-    pairs = np.unique(np.stack([a, b]), axis=1).shape[1]
-    return pairs == len(np.unique(a)) == len(np.unique(b))
-
-
-def _refine(graphs: list[Graph], enc: Encoding,
-            max_iter: int) -> list[ColorMap]:
-    """Refine graphs in lockstep until every partition is stable."""
-    if max_iter < 1:
-        raise GraphValidationError("max_iter must be >= 1")
     pairs = _pair_ids([_distance_keys(g, enc) for g in graphs])
     colors = _initial_colors(graphs)
     cms = [ColorMap() for _ in graphs]
     for cm, c in zip(cms, colors):
         cm.append(c)
-    for _ in range(max_iter):
-        new = _refine_step(pairs, colors)
-        for cm, c in zip(cms, new):
+    while True:
+        colors = _refine_step(pairs, colors)
+        for cm, c in zip(cms, colors):
             cm.append(c)
-        if all(map(_same_partition, colors, new)):
-            break
-        colors = new
-    return cms
+        if all(cm.history[-1] == cm.history[-2] for cm in cms):
+            return cms
 
 
-def gd_wl_refine(g: Graph, enc: Encoding, max_iter: int | None = None) -> ColorMap:
-    """Refine node colors until the partition stabilizes (or max_iter)."""
-    if max_iter is None:
-        max_iter = max(1, g.num_nodes)
-    return _refine([g], enc, max_iter)[0]
+def gd_wl_refine(g: Graph, enc: Encoding) -> ColorMap:
+    """Refine node colors until the partition stabilizes."""
+    return _refine([g], enc)[0]
 
 
-def refine_pair(g1: Graph, g2: Graph, enc: Encoding,
-                max_iter: int | None = None) -> tuple[ColorMap, ColorMap]:
+def refine_pair(g1: Graph, g2: Graph,
+                enc: Encoding) -> tuple[ColorMap, ColorMap]:
     """Refine two graphs in lockstep; colors are comparable across the pair."""
-    if max_iter is None:
-        max_iter = max(1, g1.num_nodes, g2.num_nodes)
-    cm1, cm2 = _refine([g1, g2], enc, max_iter)
+    cm1, cm2 = _refine([g1, g2], enc)
     return cm1, cm2
 
 

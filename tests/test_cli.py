@@ -230,6 +230,12 @@ class TestCoarsen:
             assert "Warning" not in proc.stderr
         assert "Infinity" not in h.read_text()
 
+    def test_negative_seed_exit_3(self, p3_file, capsys):
+        capsys.readouterr()
+        assert main(["coarsen", p3_file, "--seed", "-1"]) == 3
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and out == ""
+
     def test_missing_file_exit_2(self, capsys):
         assert main(["coarsen", "/nonexistent/graph.txt"]) == 2
         assert "error" in capsys.readouterr().err
@@ -373,7 +379,8 @@ class TestGdwl:
                            "seeds\n")
 
     @pytest.mark.parametrize("flags", [["--levels", "-1"], ["--clip", "0"],
-                                       ["--clip", "300"]])
+                                       ["--clip", "300"],
+                                       ["--algo", "louvain", "--seed", "-1"]])
     def test_bad_encoding_exit_3(self, flags, p3_file, capsys):
         capsys.readouterr()
         assert main(["gdwl", p3_file, p3_file, "--enc", "hdse", *flags]) == 3
@@ -401,8 +408,13 @@ class TestDemo:
             for cell in line.split(",")[1:]:
                 assert 0.0 <= float(cell) <= 1.0
 
-    def test_invalid_hyperparameters_exit_3(self):
-        assert main(["demo", "--epochs", "0"]) == 3
+    def test_invalid_hyperparameters_exit_3(self, capsys):
+        for flags in (["--epochs", "0"], ["--seeds", "0"], ["--seed", "-1"],
+                      ["--lr", "0"], ["--lr", "inf"], ["--lr", "nan"]):
+            capsys.readouterr()
+            assert main(["demo", "--epochs", "1", *flags]) == 3, flags
+            out, err = capsys.readouterr()
+            assert err.startswith("error: ") and out == "", flags
 
 
 class TestDeterminism:

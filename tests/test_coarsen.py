@@ -131,6 +131,10 @@ class TestLouvain:
         with pytest.raises(GraphValidationError):
             louvain(make_graph(0, []), seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(GraphValidationError, match="seed"):
+            louvain(two_cliques_bridge(4), seed=-1)
+
 
 def louvain_one_level_oracle(adj, self_w, m2, rng):
     """One node-move phase over ``list[dict]`` adjacency (the oracle)."""
@@ -776,6 +780,19 @@ class TestHierarchy:
             assert h.levels[k + 1] == build_coarse_graph(h.levels[k], part)
         assert set(json.loads(hierarchy_to_json(h))) == \
             {"graph", "maps", "algo", "seed"}
+
+    def test_each_level_is_contracted_once(self, monkeypatch):
+        calls = []
+
+        def counting(g, p):
+            calls.append(g.num_nodes)
+            return build_coarse_graph(g, p)
+
+        monkeypatch.setattr(coarsen, "build_coarse_graph", counting)
+        h = build_hierarchy(ring_of_cliques(6, 8), "louvain", 2)
+        assert calls == [48, 6]
+        assert [lvl.num_nodes for lvl in h.levels] == [48, 6, 3]
+        assert h.levels == Hierarchy(h.graph, h.maps).levels
 
     def test_map_of_wrong_size_is_refused(self):
         g = two_cliques_bridge(4)

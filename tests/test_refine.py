@@ -2,8 +2,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hdse import distance, refine
 from hdse.coarsen import build_hierarchy
@@ -154,12 +152,24 @@ class TestRefine:
         assert distinguishes(c6, tri2, SpdEncoding())
 
     def test_refinement_monotone_and_stabilizes(self):
-        for seed in range(10):
-            g = random_graph(9, 0.35, seed)
-            cm = gd_wl_refine(g, SpdEncoding())
-            assert len(cm.colors) <= g.num_nodes + 1
-            for a, b in zip(cm.history, cm.history[1:]):
-                assert b >= a
+        # the stop on an unchanged color count rests on this: each step
+        # splits classes and never merges them, disconnected graphs included
+        parity = np.arange(9)[:, None] % 2.0
+        cases = [(s, 0.35) for s in range(10)] + [(10, 0.05), (11, 0.15)]
+        for seed, p in cases:
+            base = random_graph(9, p, seed)
+            for feats in (None, parity):
+                g = make_graph(9, base.edge_array(), features=feats)
+                for enc in ORACLE_ENCODINGS:
+                    cm = gd_wl_refine(g, enc)
+                    assert len(cm.colors) <= g.num_nodes + 1
+                    for old, new in zip(cm.colors, cm.colors[1:]):
+                        assert (len(set(zip(new.tolist(), old.tolist())))
+                                == len(set(new.tolist())))
+                    assert all(a < b for a, b in zip(cm.history[:-2],
+                                                     cm.history[1:-1]))
+                    assert cm.history[-1] == cm.history[-2]
+                    assert _oracle_same_partition(cm.colors[-2], cm.colors[-1])
 
     def test_initial_colors_from_features(self):
         g = make_graph(2, [(0, 1)], features=[[0.0], [1.0]])
@@ -172,17 +182,6 @@ class TestRefine:
 
     def test_different_sizes_trivially_distinguished(self):
         assert distinguishes(cycle_graph(5), cycle_graph(6), SpdEncoding())
-
-    @pytest.mark.parametrize("max_iter", [0, -5])
-    def test_gd_wl_refine_rejects_max_iter_below_one(self, max_iter):
-        with pytest.raises(GraphValidationError, match="max_iter"):
-            gd_wl_refine(cycle_graph(5), SpdEncoding(), max_iter=max_iter)
-
-    @pytest.mark.parametrize("max_iter", [0, -5])
-    def test_refine_pair_rejects_max_iter_below_one(self, max_iter):
-        with pytest.raises(GraphValidationError, match="max_iter"):
-            refine_pair(cycle_graph(5), cycle_graph(5), SpdEncoding(),
-                        max_iter=max_iter)
 
 
 class TestExpressiveness:
@@ -280,16 +279,6 @@ def _oracle_same_partition(a, b):
         else:
             seen[x] = y
     return len(set(seen.values())) == len(seen)
-
-
-@given(st.integers(0, 30).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(0, 5), min_size=n, max_size=n),
-    st.lists(st.integers(-2, 3), min_size=n, max_size=n))))
-@settings(max_examples=300, deadline=None)
-def test_same_partition_matches_oracle(colorings):
-    a, b = (np.array(c, dtype=np.int64) for c in colorings)
-    assert refine._same_partition(a, b) == _oracle_same_partition(a, b)
-    assert refine._same_partition(a, a)
 
 
 def oracle_refine_pair(g1, g2, enc):
