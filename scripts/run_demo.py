@@ -20,9 +20,12 @@ def main():
     ap.add_argument("--output", "-o", default="demo_metrics.csv")
     args = ap.parse_args()
 
-    cfg = DemoConfig(epochs=args.epochs, lr=args.lr)
     start = time.time()
-    results, means = run_all_encodings(range(args.seeds), cfg)
+    try:
+        results, means = run_all_encodings(
+            range(args.seeds), DemoConfig(epochs=args.epochs, lr=args.lr))
+    except ValueError as e:
+        ap.error(str(e))
     with open(args.output, "w") as f:
         f.write(metrics_to_csv(results, means))
     for enc, runs in results.items():

@@ -20,6 +20,8 @@ def main():
     ap.add_argument("--seeds", type=int, default=5,
                     help="number of coarsening seeds to try per algorithm")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error(f"--seeds must be >= 1, got {args.seeds}")
 
     g1, g2 = dodecahedron_graph(), desargues_graph()
     start = time.time()

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -131,13 +130,12 @@ def cmd_gdwl(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if (args.epochs < 1 or args.seeds < 1 or args.seed < 0
-            or not 0 < args.lr < math.inf):
-        raise SystemExitError(EXIT_CONFIG, "epochs, seeds and a finite lr "
-                              "must be positive, and seed >= 0")
-    cfg = demo.DemoConfig(epochs=args.epochs, lr=args.lr)
-    seeds = list(range(args.seed, args.seed + args.seeds))
-    results, means = demo.run_all_encodings(seeds, cfg)
+    seeds = range(args.seed, args.seed + args.seeds)
+    try:
+        results, means = demo.run_all_encodings(
+            seeds, demo.DemoConfig(epochs=args.epochs, lr=args.lr))
+    except ValueError as e:
+        raise SystemExitError(EXIT_CONFIG, str(e))
     _write_output(demo.metrics_to_csv(results, means), args.output)
     order = " > " if means["hdse"] > means["none"] else " <= "
     print(f"verdict: hdse {means['hdse']:.4f}{order}none {means['none']:.4f}; "

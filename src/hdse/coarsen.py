@@ -6,8 +6,9 @@ view and is never built (see ``Hierarchy.projected_features``).
 
 Three partitioners are provided: greedy modularity (Louvain), edge-betweenness
 splitting (Girvan-Newman) and repeated maximal matching (METIS-style). All are
-deterministic for a fixed seed. Every contraction by an ``assign`` array goes
-through ``_quotient``: Louvain's aggregation, matching, ``build_coarse_graph``.
+deterministic for a fixed seed and accept any graph, the empty one included.
+Louvain and matching share one round loop on weighted edge arrays, ``_rounds``;
+it and ``build_coarse_graph`` contract by ``assign`` through ``_quotient``.
 A hierarchy is its input graph and its maps; each coarse level is derived as
 the quotient of the level below and nothing else: it has no features and no
 labels, and features reach it only through ``Hierarchy.projected_features``.
@@ -88,6 +89,26 @@ def _quotient(edges: np.ndarray, weights: np.ndarray, assign: np.ndarray,
             np.bincount(inv, weights[~inside], minlength=len(keys)), intra)
 
 
+def _rounds(g: Graph, step) -> Partition:
+    """Label and contract ``g`` until a round merges nothing; return the map.
+
+    ``step(n, edges, weights, self_w)`` labels the nodes of the current
+    n-node quotient (``g`` at first) from its weighted, lexsorted u < v
+    ``edges`` and twice the edge weight inside each node.
+    """
+    n, edges = g.num_nodes, g.edge_array()
+    weights, self_w = np.ones(len(edges)), np.zeros(n)
+    assign = np.arange(n)  # node of g -> node of the current quotient
+    while True:
+        part = Partition.from_assignment(step(n, edges, weights, self_w))
+        if part.num_clusters == n:
+            return Partition.from_assignment(assign)
+        assign = part.assign[assign]
+        n = part.num_clusters
+        edges, weights, intra = _quotient(edges, weights, part.assign, n)
+        self_w = np.bincount(part.assign, self_w, minlength=n) + 2.0 * intra
+
+
 # ---------------------------------------------------------------------------
 # Louvain
 
@@ -141,28 +162,10 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
     """
     if seed < 0:
         raise GraphValidationError(f"seed must be >= 0, got {seed}")
-    if g.num_nodes == 0:
-        raise GraphValidationError("empty graph")
-    if g.num_edges == 0:
+    if g.num_edges == 0:  # every gain divides by 2m
         return Partition(np.arange(g.num_nodes), g.num_nodes)
-
-    rng = np.random.default_rng(seed)
-    m2 = 2.0 * g.num_edges
-    # current aggregated graph: weighted u < v edges + self-loop weights
-    n, edges = g.num_nodes, g.edge_array()
-    weights, self_w = np.ones(len(edges)), np.zeros(n)
-    assign = np.arange(n)  # original node -> current aggregated node
-
-    while True:
-        part = Partition.from_assignment(
-            _louvain_one_level(n, edges, weights, self_w, m2, rng))
-        if part.num_clusters == n:
-            break
-        assign = part.assign[assign]
-        n = part.num_clusters
-        edges, weights, intra = _quotient(edges, weights, part.assign, n)
-        self_w = np.bincount(part.assign, self_w, minlength=n) + 2.0 * intra
-    return Partition.from_assignment(assign)
+    m2, rng = 2.0 * g.num_edges, np.random.default_rng(seed)
+    return _rounds(g, lambda *quotient: _louvain_one_level(*quotient, m2, rng))
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +268,21 @@ def heavy_edge_matching(g: Graph, ratio: float) -> Partition:
     if not 0.0 < ratio < 1.0:
         raise GraphValidationError(f"ratio must be in (0,1), got {ratio}")
     goal = ratio * g.num_nodes
-    assign = np.arange(g.num_nodes)  # original node -> current cluster
-    cur = g
-    while cur.num_nodes > goal and cur.num_edges:
-        ptr, nbrs = cur.indptr.tolist(), cur.indices.tolist()
-        label = list(range(cur.num_nodes))
-        matched = [False] * cur.num_nodes
-        for v in range(cur.num_nodes):
-            if matched[v]:
-                continue
-            # every smaller neighbor is matched already, so u > v
-            for u in nbrs[ptr[v]:ptr[v + 1]]:
-                if not matched[u]:
-                    matched[u] = matched[v] = True
-                    label[u] = v
-                    break
-        part = Partition.from_assignment(label)
-        assign = part.assign[assign]
-        cur = build_coarse_graph(cur, part)
-    return Partition.from_assignment(assign)
+
+    def match(n, edges, weights, self_w):
+        label = list(range(n))
+        if n <= goal:
+            return label
+        matched = [False] * n
+        # edges are lexsorted u < v: when u's run starts, every smaller
+        # neighbour of u is matched, so the first free v is u's smallest
+        for u, v in edges.tolist():
+            if not (matched[u] or matched[v]):
+                matched[u] = matched[v] = True
+                label[v] = u
+        return label
+
+    return _rounds(g, match)
 
 
 # ---------------------------------------------------------------------------
@@ -391,14 +390,9 @@ def build_hierarchy(g: Graph, algo: str, levels: int,
     # each level is contracted once, here, and appended with its map
     h = Hierarchy(g, [], algo=algo, seed=seed)
     for _ in range(levels):
-        cur = h.levels[-1]
-        if cur.num_nodes <= 1:
-            part = Partition(np.zeros(cur.num_nodes, dtype=np.int64),
-                             cur.num_nodes)
-        else:
-            part = ALGOS[algo](cur, ratio, seed)
+        part = ALGOS[algo](h.levels[-1], ratio, seed)
         h.maps.append(part)
-        h.levels.append(build_coarse_graph(cur, part))
+        h.levels.append(build_coarse_graph(h.levels[-1], part))
     return h
 
 

@@ -51,6 +51,11 @@ class DemoConfig:
     # memorization of the random features, carries the early training signal
     qk_scale: float = 0.1
 
+    def __post_init__(self):
+        # 0 epochs leave nothing to restore; an inf or NaN lr gives NaN weights
+        if self.epochs < 1 or not 0 < self.lr < np.inf:
+            raise ValueError("need epochs >= 1 and a positive, finite lr")
+
 
 @dataclass
 class DemoResult:
@@ -182,6 +187,8 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
 
 def run_all_encodings(seeds, cfg: DemoConfig | None = None):
     """Per-encoding results for every seed, plus mean test accuracies."""
+    if not seeds or min(seeds) < 0:
+        raise ValueError("need at least one seed, and every seed >= 0")
     cfg = cfg or DemoConfig()
     results = {enc: [train_demo(enc, s, cfg) for s in seeds]
                for enc in ENCODINGS}

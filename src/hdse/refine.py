@@ -23,7 +23,7 @@ import numpy as np
 
 from .coarsen import build_hierarchy
 from .distance import hdse, spd_all_pairs, tuple_keys
-from .graph import Graph, GraphValidationError, make_graph
+from .graph import MAX_NODES, Graph, GraphValidationError, make_graph
 
 
 @dataclass(frozen=True)
@@ -193,15 +193,15 @@ def desargues_graph() -> Graph:
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise GraphValidationError("cycle needs at least 3 nodes")
+    if not 3 <= n < MAX_NODES:
+        raise GraphValidationError(f"cycle needs 3 <= n < {MAX_NODES}")
     return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def barbell_graph(k: int) -> Graph:
     """Two k-cliques joined by a single bridge edge."""
-    if k < 2:
-        raise GraphValidationError("barbell needs cliques of size >= 2")
+    if not 2 <= k < MAX_NODES // 2:
+        raise GraphValidationError(f"barbell needs 2 <= k < {MAX_NODES // 2}")
     edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
     edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
     edges.append((k - 1, k))
@@ -214,8 +214,9 @@ def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
     Node labels record the block. A single deterministic inter-block edge is
     added when the sample produces none, so the graph stays connected-ish.
     """
-    if n < 1 or seed < 0:
-        raise GraphValidationError("community_pair needs n >= 1 and seed >= 0")
+    if not 1 <= n < MAX_NODES // 2 or seed < 0:
+        raise GraphValidationError(f"community_pair needs 1 <= n < "
+                                   f"{MAX_NODES // 2} and seed >= 0")
     rng = np.random.default_rng(seed)
     # one uniform draw per candidate edge, in row-major order
     iu, ju = np.triu_indices(n, 1)

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -17,13 +18,20 @@ from hdse.refine import desargues_graph, dodecahedron_graph
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*args, cwd):
-    """Run the CLI in a fresh process, so an uncaught error shows as a traceback."""
+def run_cli(*args, cwd, max_bytes=None):
+    """Run the CLI in a fresh process, so an uncaught error shows as a traceback.
+
+    ``max_bytes`` caps the process's address space: past it, an allocation
+    raises MemoryError instead of filling the machine's memory.
+    """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    cap = None if max_bytes is None else (lambda: resource.setrlimit(
+        resource.RLIMIT_AS, (max_bytes, max_bytes)))
     return subprocess.run([sys.executable, "-m", "hdse.cli", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=env, capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
 
 
 @pytest.fixture
@@ -67,6 +75,16 @@ class TestNamedGraph:
         assert proc.returncode == 3, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("name", [
+        "cycle(100000000000)", "cycle(4294967296)", "barbell(2147483648)",
+        "community_pair(2147483648,0.3,0.05,0)"])
+    def test_too_many_nodes_exit_3_before_building(self, name, tmp_path):
+        # the generator refuses the count itself; building the edges would
+        # run out of the 1 GiB cap (exit 2) or run for minutes
+        proc = run_cli("named-graph", name, cwd=tmp_path, max_bytes=2**30)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(f"error: {name[:name.index('(')]} needs")
 
 
 class TestMalformedJson:

@@ -127,10 +127,6 @@ class TestLouvain:
             again = louvain(g, seed=42)
             assert np.array_equal(first.assign, again.assign)
 
-    def test_empty_graph_rejected(self):
-        with pytest.raises(GraphValidationError):
-            louvain(make_graph(0, []), seed=0)
-
     def test_negative_seed_rejected(self):
         with pytest.raises(GraphValidationError, match="seed"):
             louvain(two_cliques_bridge(4), seed=-1)
@@ -632,6 +628,14 @@ class TestHeavyEdgeMatching:
                 heavy_edge_matching(g, ratio)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_every_partitioner_takes_empty_and_single_node_graphs(n):
+    g = make_graph(n, [])
+    for part in (louvain(g), girvan_newman(g), heavy_edge_matching(g, 0.5)):
+        assert part.num_clusters == n
+        assert part.assign.tolist() == list(range(n))
+
+
 class TestCoarseGraph:
     def test_p3_two_clusters(self):
         g = make_graph(3, [(0, 1), (1, 2)])
@@ -781,7 +785,10 @@ class TestHierarchy:
         assert set(json.loads(hierarchy_to_json(h))) == \
             {"graph", "maps", "algo", "seed"}
 
-    def test_each_level_is_contracted_once(self, monkeypatch):
+    @pytest.mark.parametrize("algo, sizes", [("louvain", [48, 6, 3]),
+                                             ("hem", [48, 24, 12])],
+                             ids=["louvain", "hem"])
+    def test_each_level_is_contracted_once(self, monkeypatch, algo, sizes):
         calls = []
 
         def counting(g, p):
@@ -789,10 +796,17 @@ class TestHierarchy:
             return build_coarse_graph(g, p)
 
         monkeypatch.setattr(coarsen, "build_coarse_graph", counting)
-        h = build_hierarchy(ring_of_cliques(6, 8), "louvain", 2)
-        assert calls == [48, 6]
-        assert [lvl.num_nodes for lvl in h.levels] == [48, 6, 3]
+        h = build_hierarchy(ring_of_cliques(6, 8), algo, 2)
+        assert calls == sizes[:-1]
+        assert [lvl.num_nodes for lvl in h.levels] == sizes
         assert h.levels == Hierarchy(h.graph, h.maps).levels
+
+    @pytest.mark.parametrize("algo, ratio, seed", [("hem", 2.0, 0),
+                                                   ("louvain", 0.5, -1)])
+    def test_bad_config_refused_on_a_single_node(self, algo, ratio, seed):
+        # the partitioner runs on every level, however small
+        with pytest.raises(GraphValidationError):
+            build_hierarchy(make_graph(1, []), algo, 1, ratio=ratio, seed=seed)
 
     def test_map_of_wrong_size_is_refused(self):
         g = two_cliques_bridge(4)

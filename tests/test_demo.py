@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from hdse.demo import (DemoConfig, make_dataset, metrics_to_csv, train_demo,
                        run_all_encodings)
@@ -64,3 +65,19 @@ def test_metrics_csv_shape():
         assert len(cells) == 4
         for cell in cells[1:]:
             assert 0.0 <= float(cell) <= 1.0
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"epochs": 0}, {"epochs": -1}, {"lr": 0.0}, {"lr": -1.0},
+    {"lr": float("inf")}, {"lr": float("nan")}])
+def test_invalid_config_rejected(kwargs):
+    with pytest.raises(ValueError, match="need epochs >= 1"):
+        train_demo("none", 0, DemoConfig(**kwargs))
+
+
+@pytest.mark.parametrize("seeds", [[], range(0), [0, -1]])
+def test_invalid_seeds_rejected_before_training(seeds, monkeypatch):
+    import hdse.demo as demo_mod
+    monkeypatch.setattr(demo_mod, "train_demo", None)  # never reached
+    with pytest.raises(ValueError, match="at least one seed"):
+        run_all_encodings(seeds, QUICK)

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
@@ -35,3 +37,18 @@ def test_run_expressiveness(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "spd                      distinguished=False" in proc.stdout
+
+
+@pytest.mark.parametrize("name, args", [
+    ("run_demo.py", ["--epochs", "0"]),
+    ("run_demo.py", ["--lr", "inf"]),
+    ("run_demo.py", ["--seeds", "0"]),
+    ("run_expressiveness.py", ["--seeds", "0"]),
+    ("run_expressiveness.py", ["--seeds", "-2"]),
+])
+def test_invalid_arguments_are_usage_errors(tmp_path, name, args):
+    proc = run_script(name, *args, cwd=tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"{name}: error: " in proc.stderr
+    assert proc.stdout == ""
