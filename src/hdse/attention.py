@@ -192,8 +192,8 @@ def attention_forward(x: np.ndarray, params: AttentionParams,
     this is self-attention. ``bias`` is (n, m, heads) or None for no bias.
     Returns (out, cache) with out of shape (n, heads * head_dim).
     """
-    if np.isnan(x).any():
-        raise ValueError("NaN in input features")
+    if not all(np.isfinite(a).all() for a in (x, x_ctx) if a is not None):
+        raise ValueError("non-finite input features")
     ctx = x if x_ctx is None else x_ctx
     q = x @ params.w_q                    # (heads, n, head_dim)
     k = ctx @ params.w_k

@@ -137,6 +137,11 @@ def cmd_demo(args) -> int:
     except ValueError as e:
         raise SystemExitError(EXIT_CONFIG, str(e))
     _write_output(demo.metrics_to_csv(results, means), args.output)
+    for enc, runs in results.items():
+        for r in runs:
+            print(f"{enc:<5} seed={r.seed} train={r.train_accuracy:.3f} "
+                  f"val={r.val_accuracy:.3f} test={r.test_accuracy:.3f} "
+                  f"best_epoch={r.best_epoch}", file=sys.stderr)
     order = " > " if means["hdse"] > means["none"] else " <= "
     print(f"verdict: hdse {means['hdse']:.4f}{order}none {means['none']:.4f}; "
           f"spd {means['spd']:.4f}", file=sys.stderr)

@@ -27,34 +27,37 @@ from .refine import community_pair_graph
 
 ENCODINGS = ("none", "spd", "hdse")
 
+NODES_PER_BLOCK = 15
+P_INTRA = 0.3
+Q_INTER = 0.05
+FEATURE_DIM = 32
+TRAIN_FRAC = 0.6
+VAL_FRAC = 0.2
+HEADS = 4
+HEAD_DIM = 8
+EMBED_DIM = 16
+HIDDEN_DIM = 16
+CLIP = 30
+LEVELS = 1          # hierarchy depth for the hdse encoding
+ALGO = "louvain"
+# content attention starts near-uniform so the distance-bias path, not
+# memorization of the random features, carries the early training signal
+QK_SCALE = 0.1
+
 
 @dataclass
 class DemoConfig:
     num_graphs: int = 20
-    nodes_per_block: int = 15
-    p_intra: float = 0.3
-    q_inter: float = 0.05
-    feature_dim: int = 32
-    heads: int = 4
-    head_dim: int = 8
-    embed_dim: int = 16
-    hidden_dim: int = 16
-    clip: int = 30
-    levels: int = 1          # hierarchy depth for the hdse encoding
-    algo: str = "louvain"
     epochs: int = 300
     lr: float = 2.0
     eval_every: int = 10
-    train_frac: float = 0.6
-    val_frac: float = 0.2
-    # content attention starts near-uniform so the distance-bias path, not
-    # memorization of the random features, carries the early training signal
-    qk_scale: float = 0.1
 
     def __post_init__(self):
         # 0 epochs leave nothing to restore; an inf or NaN lr gives NaN weights
         if self.epochs < 1 or not 0 < self.lr < np.inf:
             raise ValueError("need epochs >= 1 and a positive, finite lr")
+        if self.num_graphs < 1 or self.eval_every < 1:
+            raise ValueError("need num_graphs >= 1 and eval_every >= 1")
 
 
 @dataclass
@@ -69,14 +72,13 @@ class DemoResult:
     metrics: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _distance_codes(g: Graph, encoding: str, cfg: DemoConfig,
-                    seed: int) -> np.ndarray | None:
+def _distance_codes(g: Graph, encoding: str, seed: int) -> np.ndarray | None:
     """(n, n, levels) uint8 codes; SPD is HDSE over a zero-level hierarchy."""
     if encoding == "none":
         return None
-    levels = 0 if encoding == "spd" else cfg.levels
-    h = build_hierarchy(g, cfg.algo, levels, seed=seed)
-    return hdse(h, clip=cfg.clip).entries
+    levels = 0 if encoding == "spd" else LEVELS
+    h = build_hierarchy(g, ALGO, levels, seed=seed)
+    return hdse(h, clip=CLIP).entries
 
 
 def make_dataset(cfg: DemoConfig, seed: int):
@@ -84,13 +86,13 @@ def make_dataset(cfg: DemoConfig, seed: int):
     rng = np.random.default_rng(seed)
     items = []
     for i in range(cfg.num_graphs):
-        g = community_pair_graph(cfg.nodes_per_block, cfg.p_intra,
-                                 cfg.q_inter, seed=seed * 1000 + i)
+        g = community_pair_graph(NODES_PER_BLOCK, P_INTRA, Q_INTER,
+                                 seed=seed * 1000 + i)
         n = g.num_nodes
-        feats = rng.standard_normal((n, cfg.feature_dim))
+        feats = rng.standard_normal((n, FEATURE_DIM))
         order = rng.permutation(n)
-        n_train = int(round(cfg.train_frac * n))
-        n_val = int(round(cfg.val_frac * n))
+        n_train = int(round(TRAIN_FRAC * n))
+        n_val = int(round(VAL_FRAC * n))
         items.append({
             "graph": g,
             "features": feats,
@@ -128,19 +130,19 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     labels = np.stack([item["labels"] for item in data])
     codes = None
     if encoding != "none":
-        codes = np.stack([_distance_codes(item["graph"], encoding, cfg, seed)
+        codes = np.stack([_distance_codes(item["graph"], encoding, seed)
                           for item in data])
 
     # codes take no draws from rng, so parameters depend only on the seed
     rng = np.random.default_rng(seed + 7)
-    attn = init_attention_params(cfg.feature_dim, cfg.heads, cfg.head_dim, rng)
-    attn.w_q *= cfg.qk_scale
-    attn.w_k *= cfg.qk_scale
+    attn = init_attention_params(FEATURE_DIM, HEADS, HEAD_DIM, rng)
+    attn.w_q *= QK_SCALE
+    attn.w_k *= QK_SCALE
     bias = None
     if codes is not None:
-        bias = init_bias_params(codes.shape[-1], cfg.clip, cfg.embed_dim,
-                                cfg.hidden_dim, cfg.heads, rng)
-    out_dim = cfg.heads * cfg.head_dim
+        bias = init_bias_params(codes.shape[-1], CLIP, EMBED_DIM, HIDDEN_DIM,
+                                HEADS, rng)
+    out_dim = HEADS * HEAD_DIM
     n_classes = 2
     w_c = rng.uniform(-1, 1, (out_dim, n_classes)) / np.sqrt(out_dim)
     b_c = np.zeros(n_classes)

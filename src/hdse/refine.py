@@ -217,6 +217,8 @@ def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
     if not 1 <= n < MAX_NODES // 2 or seed < 0:
         raise GraphValidationError(f"community_pair needs 1 <= n < "
                                    f"{MAX_NODES // 2} and seed >= 0")
+    if not (0 <= p <= 1 and 0 <= q <= 1):
+        raise GraphValidationError("community_pair needs p and q in [0, 1]")
     rng = np.random.default_rng(seed)
     # one uniform draw per candidate edge, in row-major order
     iu, ju = np.triu_indices(n, 1)

@@ -246,6 +246,16 @@ class TestForward:
         with pytest.raises(ValueError):
             attention_forward(x, params, None)
 
+    @pytest.mark.parametrize("side", ["x", "x_ctx"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_input_rejected(self, side, value):
+        rng = np.random.default_rng(8)
+        params = small_params(rng)
+        x, x_ctx = rng.standard_normal((4, 5)), rng.standard_normal((3, 5))
+        {"x": x, "x_ctx": x_ctx}[side][1, 1] = value
+        with pytest.raises(ValueError, match="non-finite input"):
+            attention_forward(x, params, None, x_ctx)
+
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(9)
         params = small_params(rng)

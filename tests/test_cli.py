@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -68,8 +69,10 @@ class TestNamedGraph:
     def test_unknown_name_config_error(self, capsys):
         assert main(["named-graph", "petersen"]) == 3
 
-    @pytest.mark.parametrize("name", ["cycle", "cycle(x)",
-                                      "community_pair(1,2)"])
+    @pytest.mark.parametrize("name", [
+        "cycle", "cycle(x)", "community_pair(1,2)",
+        "community_pair(5,nan,0.05,0)", "community_pair(5,-1,0.05,0)",
+        "community_pair(5,0.3,inf,0)", "community_pair(5,2,0.5,0)"])
     def test_malformed_arguments_exit_3(self, name, tmp_path):
         proc = run_cli("named-graph", name, cwd=tmp_path)
         assert proc.returncode == 3, proc.stderr
@@ -425,6 +428,19 @@ class TestDemo:
         for line in lines[1:]:
             for cell in line.split(",")[1:]:
                 assert 0.0 <= float(cell) <= 1.0
+
+    def test_per_seed_lines_on_stderr(self, capsys, tmp_path):
+        rc = main(["demo", "--seeds", "1", "--epochs", "2",
+                   "-o", str(tmp_path / "m.csv")])
+        assert rc == 0
+        out, err = capsys.readouterr()
+        lines = err.splitlines()
+        assert out == "" and len(lines) == 4
+        for enc, line in zip(("none", "spd", "hdse"), lines):
+            assert re.fullmatch(
+                rf"{enc:<5} seed=0 train=\d\.\d{{3}} val=\d\.\d{{3}} "
+                r"test=\d\.\d{3} best_epoch=[01]", line), line
+        assert lines[3].startswith("verdict: hdse ")
 
     def test_invalid_hyperparameters_exit_3(self, capsys):
         for flags in (["--epochs", "0"], ["--seeds", "0"], ["--seed", "-1"],

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from hdse.demo import (DemoConfig, make_dataset, metrics_to_csv, train_demo,
-                       run_all_encodings)
+from hdse.demo import (NODES_PER_BLOCK, TRAIN_FRAC, DemoConfig, make_dataset,
+                       metrics_to_csv, train_demo, run_all_encodings)
 
 QUICK = DemoConfig(num_graphs=4, epochs=20, eval_every=5)
 
@@ -13,10 +13,10 @@ def test_dataset_shapes_and_split():
     assert len(data) == 3
     for item in data:
         n = item["graph"].num_nodes
-        assert n == 2 * cfg.nodes_per_block
+        assert n == 2 * NODES_PER_BLOCK
         parts = np.concatenate([item["train"], item["val"], item["test"]])
         assert sorted(parts.tolist()) == list(range(n))
-        assert len(item["train"]) == round(cfg.train_frac * n)
+        assert len(item["train"]) == round(TRAIN_FRAC * n)
 
 
 def test_train_demo_runs_and_bounds():
@@ -73,6 +73,14 @@ def test_metrics_csv_shape():
 def test_invalid_config_rejected(kwargs):
     with pytest.raises(ValueError, match="need epochs >= 1"):
         train_demo("none", 0, DemoConfig(**kwargs))
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"num_graphs": 0}, {"num_graphs": -1}, {"eval_every": 0},
+    {"eval_every": -5}])
+def test_invalid_graph_count_or_eval_interval_rejected(kwargs):
+    with pytest.raises(ValueError, match="need num_graphs >= 1"):
+        DemoConfig(**kwargs)
 
 
 @pytest.mark.parametrize("seeds", [[], range(0), [0, -1]])
