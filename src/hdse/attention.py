@@ -124,8 +124,11 @@ def bias_matrix(codes: np.ndarray, p: BiasParams):
     ``codes`` is a (rows, cols, levels) array of clipped distance codes in
     [0, clip + 1]. A pair's bias depends only on its tuple of codes, so the
     embedding and MLP run once per distinct tuple, giving a (tuples, heads)
-    table that is gathered onto the pairs. Returns (bias, cache) where cache
-    feeds bias_backward.
+    table that is gathered onto the pairs. Tuples are numbered by
+    ``tuple_keys``, which needs no sort while the codes span few values. The
+    bias is stored head-major: it is the transposed view of a contiguous
+    (heads, rows, cols) array, so each head's plane is contiguous. Returns
+    (bias, cache) where cache feeds bias_backward.
     """
     codes = np.asarray(codes)
     if codes.ndim != 3 or codes.shape[2] != p.levels:
@@ -135,32 +138,38 @@ def bias_matrix(codes: np.ndarray, p: BiasParams):
         raise ValueError(f"distance code outside [0, {p.clip + 1}]")
     rows, cols, levels = codes.shape
     flat = codes.reshape(rows * cols, levels)
-    keys, inverse = np.unique(tuple_keys(flat), return_inverse=True)
-    tuples = np.empty((len(keys), levels), dtype=codes.dtype)
-    tuples[inverse] = flat  # pairs of one tuple write the same row
+    inverse, count = tuple_keys(flat)
+    pair = np.empty(count, dtype=np.intp)
+    pair[inverse] = np.arange(len(inverse))  # any one pair of each tuple
+    tuples = flat[pair]
     # (tuples, levels, embed_dim) -> concat levels
     cat = p.embeddings[np.arange(levels), tuples].reshape(
-        len(tuples), levels * p.embeddings.shape[2])
+        count, levels * p.embeddings.shape[2])
     pre = cat @ p.w1 + p.b1
     hid = np.maximum(pre, 0.0)
     table = hid @ p.w2 + p.b2
-    bias = table[inverse].reshape(rows, cols, p.heads)
+    planes = np.take(np.ascontiguousarray(table.T), inverse, axis=1)
+    bias = planes.reshape(p.heads, rows, cols).transpose(1, 2, 0)
     cache = {"tuples": tuples, "inverse": inverse, "cat": cat, "pre": pre,
              "hid": hid, "params": p}
     return bias, cache
 
 
 def bias_backward(d_bias: np.ndarray, cache: dict):
-    """Gradients of the bias function; returns (d_embeddings, d_w1, d_b1, d_w2, d_b2)."""
+    """Gradients of the bias function; returns (d_embeddings, d_w1, d_b1, d_w2, d_b2).
+
+    ``d_bias`` is (rows, cols, heads); it is read one head plane at a time,
+    so a transposed view of a head-major array is read without a copy.
+    """
     p: BiasParams = cache["params"]
     tuples, inverse, cat, pre, hid = (cache["tuples"], cache["inverse"],
                                       cache["cat"], cache["pre"], cache["hid"])
     levels, _, embed_dim = p.embeddings.shape
     # every pair adds its bias gradient to the table row of its tuple
-    d_pairs = d_bias.reshape(len(inverse), p.heads)
+    d_planes = d_bias.transpose(2, 0, 1).reshape(p.heads, len(inverse))
     d_table = np.empty((len(tuples), p.heads))
     for h in range(p.heads):
-        d_table[:, h] = np.bincount(inverse, weights=d_pairs[:, h],
+        d_table[:, h] = np.bincount(inverse, weights=d_planes[h],
                                     minlength=len(tuples))
     d_w2 = hid.T @ d_table
     d_b2 = d_table.sum(axis=0)
@@ -177,10 +186,12 @@ def bias_backward(d_bias: np.ndarray, cache: dict):
 # Attention
 
 def _softmax_rows(logits: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place: overwrites and returns ``logits``."""
     # initial=-inf lets a graph of no nodes (rows of no entries) pass through
-    shifted = logits - logits.max(axis=-1, keepdims=True, initial=-np.inf)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True, initial=-np.inf)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def attention_forward(x: np.ndarray, params: AttentionParams,
@@ -199,12 +210,13 @@ def attention_forward(x: np.ndarray, params: AttentionParams,
     k = ctx @ params.w_k
     v = ctx @ params.w_v
     scale = 1.0 / np.sqrt(params.head_dim)
-    logits = (q @ k.transpose(0, 2, 1)) * scale
+    logits = q @ k.transpose(0, 2, 1)
+    logits *= scale
     if bias is not None:
         if bias.shape != (x.shape[0], ctx.shape[0], params.heads):
             raise ValueError(f"bias shape {bias.shape} incompatible with "
                              f"({x.shape[0]}, {ctx.shape[0]}, {params.heads})")
-        logits = logits + bias.transpose(2, 0, 1)
+        logits += bias.transpose(2, 0, 1)
     attn = _softmax_rows(logits)
     out = (attn @ v).transpose(1, 0, 2).reshape(
         x.shape[0], params.heads * params.head_dim)
@@ -300,10 +312,12 @@ class BiasedAttentionLayer:
                      for d, c in zip(d_outs, attn_caches)]
         d_wq, d_wk, d_wv = (sum(g[j] for g in per_graph) for j in range(3))
         if bias_cache is not None:
-            d_bias = np.stack([g[3] for g in per_graph])
-            b, n, m, heads = d_bias.shape
+            # stacked head-major, like the bias, so no step transposes
+            d_bias = np.stack([g[3].transpose(2, 0, 1) for g in per_graph],
+                              axis=1)
+            heads, b, n, m = d_bias.shape
             d_emb, d_w1, d_b1, d_w2, d_b2 = bias_backward(
-                d_bias.reshape(b * n, m, heads), bias_cache)
+                d_bias.reshape(heads, b * n, m).transpose(1, 2, 0), bias_cache)
         else:
             z = np.zeros(0)
             d_emb = d_w1 = d_b1 = d_w2 = d_b2 = z

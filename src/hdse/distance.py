@@ -30,6 +30,13 @@ if TYPE_CHECKING:  # coarsen imports this module
 UNREACHABLE = -1  # raw distance of a disconnected pair
 
 
+def _unpack(words: np.ndarray, n: int) -> np.ndarray:
+    """Rows of uint64 bitsets as an n-column 0/1 uint8 array."""
+    # bit s of word w is column 64 w + s once the words are little-endian
+    return np.unpackbits(words.astype("<u8", copy=False).view(np.uint8),
+                         axis=1, count=n, bitorder="little")
+
+
 def spd_all_pairs(g: Graph) -> np.ndarray:
     """Exact all-pairs hop distances as an n x n int32 array.
 
@@ -40,36 +47,38 @@ def spd_all_pairs(g: Graph) -> np.ndarray:
     neighbours (``reduceat`` over CSR segments, restricted to nodes of
     nonzero degree because ``reduceat`` returns the element at an empty
     segment's start instead of an identity); bits not yet reached are the
-    nodes at the next distance. The graph is undirected, so the new-bit mask
-    of node v and source s is written directly as row s, column v of the
-    symmetric result.
+    nodes at the next distance. Hops are counted rather than written: each
+    hop that reaches a new pair adds 1 to every pair not reached before it,
+    so a pair gains 1 per hop until it is reached and ends at its distance.
+    Pairs never reached are marked ``UNREACHABLE`` after the last hop. The
+    graph is undirected, so the unreached bits of source s at node v count
+    directly as row v, column s of the symmetric result.
 
     Working memory besides the n x n int32 output: n x n/8-byte bitsets
     (``reached``, ``frontier`` and a few per-hop temporaries), the gathered
-    neighbour frontiers (2m x n/8 bytes for m edges) and one n x n bool mask
-    per hop.
+    neighbour frontiers (2m x n/8 bytes for m edges) and one unpacked
+    n x n uint8 array per hop.
     """
     n = g.num_nodes
-    out = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    np.fill_diagonal(out, 0)
+    out = np.zeros((n, n), dtype=np.int32)
     src = np.arange(n)
     reached = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     reached[src, src >> 6] = 1 << (src & 63).astype(np.uint64)
     frontier = reached.copy()
     has_nbrs = np.diff(g.indptr) > 0
     starts = g.indptr[:-1][has_nbrs]
-    for d in range(1, n):
+    for _ in range(1, n):
         nxt = np.zeros_like(frontier)
         nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts,
                                                axis=0)
         frontier = nxt & ~reached
         if not frontier.any():
             break
+        out += _unpack(~reached, n)
         reached |= frontier
-        # bit s of word w is source 64 w + s once the words are little-endian
-        new = np.unpackbits(frontier.astype("<u8", copy=False).view(np.uint8),
-                            axis=1, count=n, bitorder="little")
-        out[new.view(bool)] = d
+    unreached = _unpack(~reached, n)
+    if unreached.any():
+        out[unreached.view(bool)] = UNREACHABLE
     return out
 
 
@@ -102,16 +111,35 @@ class HdseTensor:
 _KEY_LIMIT = 2 ** 32
 
 
-def tuple_keys(rows: np.ndarray) -> np.ndarray:
-    """One int64 key per row of a 2-D integer array: equal rows, equal keys.
+def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Ids in [0, count) of int64 keys in [0, bound), in key order, and count.
 
+    A bound of at most the key count is bucketed: a presence array over
+    [0, bound) numbered by ``cumsum``, with no sort. A larger bound falls
+    back to ``np.unique``. Both give each key its rank among the distinct
+    keys.
+    """
+    if bound > len(keys):
+        uniq, ids = np.unique(keys, return_inverse=True)
+        return ids, len(uniq)
+    present = np.zeros(bound, dtype=bool)
+    present[keys] = True
+    rank = np.cumsum(present) - 1
+    return rank[keys], int(rank[-1]) + 1
+
+
+def tuple_keys(rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Dense ids of the rows of a 2-D integer array and their count.
+
+    Equal rows get equal ids, and ids are in [0, count) for count distinct
+    rows, numbered in the rows' lexicographic order.
     Columns are folded into the key in turn: key * span + (value - lo), with
     lo the column minimum (or 0 if that is larger) and span the count of
     values from lo to the maximum, so distinct rows get distinct keys. The
-    running key is re-densified with ``np.unique`` whenever its bound passes
-    ``_KEY_LIMIT``. So for any number of columns, each spanning fewer than
-    2**31 values, and fewer than 2**31 rows, no product overflows and every
-    key lies in [0, max(_KEY_LIMIT, len(rows))).
+    running key is re-densified whenever its bound passes ``_KEY_LIMIT``,
+    and once more at the end. So for any number of columns, each spanning
+    fewer than 2**31 values, and fewer than 2**31 rows, no product
+    overflows.
     """
     keys = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # keys < bound
@@ -122,9 +150,8 @@ def tuple_keys(rows: np.ndarray) -> np.ndarray:
         keys = keys * span + (col - lo)
         bound *= span
         if bound > _KEY_LIMIT:
-            uniq, keys = np.unique(keys, return_inverse=True)
-            bound = len(uniq)
-    return keys
+            keys, bound = _dense_ids(keys, bound)
+    return _dense_ids(keys, bound)
 
 
 def _level_codes(g: Graph, clip: int) -> np.ndarray:

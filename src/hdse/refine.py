@@ -23,7 +23,7 @@ import numpy as np
 
 from .coarsen import build_hierarchy
 from .distance import hdse, spd_all_pairs, tuple_keys
-from .graph import MAX_NODES, Graph, GraphValidationError, make_graph
+from .graph import Graph, GraphValidationError, make_graph
 
 
 @dataclass(frozen=True)
@@ -100,9 +100,10 @@ def _pair_ids(keys: list[np.ndarray]) -> list[np.ndarray]:
     """(n, n) id per node pair, jointly: equal distance keys share an id.
 
     Ids come from ``tuple_keys`` over all pairs of all graphs, so they are
-    below 2**32 or the total pair count.
+    dense and keep the keys' order.
     """
-    ids = tuple_keys(np.concatenate([k.reshape(-1, k.shape[-1]) for k in keys]))
+    ids, _ = tuple_keys(np.concatenate([k.reshape(-1, k.shape[-1])
+                                        for k in keys]))
     sizes = [len(k) for k in keys]
     parts = np.split(ids, np.cumsum([n * n for n in sizes])[:-1])
     return [part.reshape(n, n) for part, n in zip(parts, sizes)]
@@ -192,20 +193,35 @@ def desargues_graph() -> Graph:
     return generalized_petersen(10, 3)
 
 
+# Each named generator lists or draws its candidate edges, one per node pair
+# it may join, before make_graph sees any. Past this many candidates the
+# peak memory of cycle, barbell and community_pair at p = q = 1, measured
+# with tracemalloc, passes about 1 GiB, so larger requests are refused first.
+MAX_CANDIDATE_EDGES = 8_000_000
+
+
+def _check_candidates(kind: str, count: int) -> None:
+    if count > MAX_CANDIDATE_EDGES:
+        raise GraphValidationError(
+            f"{kind} needs at most {MAX_CANDIDATE_EDGES} candidate edges, "
+            f"got {count}")
+
+
 def cycle_graph(n: int) -> Graph:
-    if not 3 <= n < MAX_NODES:
-        raise GraphValidationError(f"cycle needs 3 <= n < {MAX_NODES}")
-    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    if n < 3:
+        raise GraphValidationError("cycle needs n >= 3")
+    _check_candidates("cycle", n)
+    nodes = np.arange(n)
+    return make_graph(n, np.column_stack([nodes, (nodes + 1) % n]))
 
 
 def barbell_graph(k: int) -> Graph:
     """Two k-cliques joined by a single bridge edge."""
-    if not 2 <= k < MAX_NODES // 2:
-        raise GraphValidationError(f"barbell needs 2 <= k < {MAX_NODES // 2}")
-    edges = [(i, j) for i in range(k) for j in range(i + 1, k)]
-    edges += [(k + i, k + j) for i in range(k) for j in range(i + 1, k)]
-    edges.append((k - 1, k))
-    return make_graph(2 * k, edges)
+    if k < 2:
+        raise GraphValidationError("barbell needs k >= 2")
+    _check_candidates("barbell", k * (k - 1) + 1)
+    clique = np.column_stack(np.triu_indices(k, 1))
+    return make_graph(2 * k, np.concatenate([clique, clique + k, [[k - 1, k]]]))
 
 
 def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
@@ -214,11 +230,11 @@ def community_pair_graph(n: int, p: float, q: float, seed: int) -> Graph:
     Node labels record the block. A single deterministic inter-block edge is
     added when the sample produces none, so the graph stays connected-ish.
     """
-    if not 1 <= n < MAX_NODES // 2 or seed < 0:
-        raise GraphValidationError(f"community_pair needs 1 <= n < "
-                                   f"{MAX_NODES // 2} and seed >= 0")
+    if n < 1 or seed < 0:
+        raise GraphValidationError("community_pair needs n >= 1 and seed >= 0")
     if not (0 <= p <= 1 and 0 <= q <= 1):
         raise GraphValidationError("community_pair needs p and q in [0, 1]")
+    _check_candidates("community_pair", n * (n - 1) + n * n)
     rng = np.random.default_rng(seed)
     # one uniform draw per candidate edge, in row-major order
     iu, ju = np.triu_indices(n, 1)

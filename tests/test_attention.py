@@ -68,8 +68,16 @@ def oracle_bias_backward(d_bias, cache):
 
 
 def assert_bias_matches_oracle(codes, p, rng):
-    """Bias within 1e-12 and every gradient within rtol 1e-10 of the oracle."""
+    """Bias within 1e-12 and every gradient within rtol 1e-10 of the oracle.
+
+    The cached tuples and per-pair tuple ids are those of ``np.unique``.
+    """
     bias, cache = bias_matrix(codes, p)
+    tuples, inverse = np.unique(codes.reshape(-1, codes.shape[2]), axis=0,
+                                return_inverse=True)
+    assert np.array_equal(cache["tuples"], tuples)
+    assert cache["tuples"].dtype == tuples.dtype
+    assert np.array_equal(cache["inverse"], inverse.ravel())
     want, want_cache = oracle_bias_matrix(codes, p)
     assert bias.shape == want.shape
     np.testing.assert_allclose(bias, want, rtol=0, atol=1e-12)
@@ -134,7 +142,7 @@ def _distinct_codes(levels, clip, limit=400):
 class TestBiasMatchesOracle:
     @pytest.mark.parametrize("levels", [1, 3])
     @pytest.mark.parametrize("clip", [1, 254])
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64, np.uint64])
     @pytest.mark.parametrize("kind", ["random", "same", "distinct"])
     def test_cases(self, levels, clip, dtype, kind):
         rng = np.random.default_rng(levels * 1000 + clip)
@@ -487,6 +495,50 @@ class TestBatchedLayer:
             layer.forward(x[0], rng.integers(0, 7, (1, 4, 4, 2)))
         with pytest.raises(ValueError):
             layer.forward(x, x_ctx=rng.standard_normal((3, 5)))
+
+
+class TestInputsUnchanged:
+    """The kernel scales, biases and normalizes its logits in place; the
+    arrays a caller passes in are never written."""
+
+    def snapshot(self, *arrays):
+        return [None if a is None else a.copy() for a in arrays]
+
+    def assert_unchanged(self, arrays, copies):
+        for a, c in zip(arrays, copies):
+            if a is not None:
+                assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_attention_forward(self, linear, n):
+        rng = np.random.default_rng(26)
+        params = small_params(rng)
+        x = rng.standard_normal((n, 5))
+        ctx = rng.standard_normal((3, 5)) if linear else None
+        bias = rng.standard_normal((n, 3 if linear else n, params.heads))
+        copies = self.snapshot(x, ctx, bias)
+        out, _ = attention_forward(x, params, bias, ctx)
+        assert out.shape == (n, 6)
+        self.assert_unchanged((x, ctx, bias), copies)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_layer_forward(self, linear, batch):
+        rng = np.random.default_rng(27)
+        layer = BiasedAttentionLayer(init_attention_params(5, 2, 3, rng),
+                                     init_bias_params(2, 5, 3, 3, 2, rng))
+        lead = () if batch is None else (batch,)
+        m = 3 if linear else 4
+        x = rng.standard_normal(lead + (4, 5))
+        ctx = rng.standard_normal(lead + (m, 5)) if linear else None
+        codes = rng.integers(0, 7, lead + (4, m, 2)).astype(np.uint8)
+        copies = self.snapshot(x, ctx, codes)
+        out = layer.forward(x, codes, x_ctx=ctx)
+        assert out.shape == lead + (4, 6)
+        self.assert_unchanged((x, ctx, codes), copies)
+        layer.backward(np.ones_like(out))
+        self.assert_unchanged((x, ctx, codes), copies)
 
 
 class TestEmptyGraph:

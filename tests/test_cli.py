@@ -4,6 +4,7 @@ import re
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -81,12 +82,18 @@ class TestNamedGraph:
 
     @pytest.mark.parametrize("name", [
         "cycle(100000000000)", "cycle(4294967296)", "barbell(2147483648)",
-        "community_pair(2147483648,0.3,0.05,0)"])
+        "community_pair(2147483648,0.3,0.05,0)", "barbell(100000)",
+        "community_pair(100000,0.3,0.05,0)", "cycle(8000001)",
+        "barbell(2829)", "community_pair(2001,1,1,0)"])
     def test_too_many_nodes_exit_3_before_building(self, name, tmp_path):
-        # the generator refuses the count itself; building the edges would
-        # run out of the 1 GiB cap (exit 2) or run for minutes
+        # the generator refuses the count itself, the last three one step
+        # past MAX_CANDIDATE_EDGES; building the edges would run out of the
+        # 1 GiB cap (exit 2) or run for minutes
+        start = time.perf_counter()
         proc = run_cli("named-graph", name, cwd=tmp_path, max_bytes=2**30)
+        assert time.perf_counter() - start < 1.0
         assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith(f"error: {name[:name.index('(')]} needs")
 
 

@@ -4,8 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdse.coarsen import Partition, build_hierarchy, permute_hierarchy
+from hdse import distance
 from hdse.distance import (UNREACHABLE, ghd, hdse, high_level_hdse,
-                           read_tensor, spd_all_pairs, write_tensor)
+                           read_tensor, spd_all_pairs, tuple_keys,
+                           write_tensor)
 from hdse.graph import GraphValidationError, NodePermutation, make_graph
 
 
@@ -110,6 +112,132 @@ class TestSpdKernelOracle:
     def test_random_edge_lists(self, n, pairs):
         edges = [(u, v) for u, v in pairs if u < n and v < n and u != v]
         assert_spd_exact(make_graph(n, edges))
+
+
+def mask_writing_spd(g):
+    """The former kernel: the same bitset BFS, writing each hop through a mask."""
+    n = g.num_nodes
+    out = np.full((n, n), UNREACHABLE, dtype=np.int32)
+    np.fill_diagonal(out, 0)
+    src = np.arange(n)
+    reached = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
+    reached[src, src >> 6] = 1 << (src & 63).astype(np.uint64)
+    frontier = reached.copy()
+    has_nbrs = np.diff(g.indptr) > 0
+    starts = g.indptr[:-1][has_nbrs]
+    for d in range(1, n):
+        nxt = np.zeros_like(frontier)
+        nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts,
+                                               axis=0)
+        frontier = nxt & ~reached
+        if not frontier.any():
+            break
+        reached |= frontier
+        new = np.unpackbits(frontier.astype("<u8", copy=False).view(np.uint8),
+                            axis=1, count=n, bitorder="little")
+        out[new.view(bool)] = d
+    return out
+
+
+def assert_same_as_mask_writing(g):
+    got, want = spd_all_pairs(g), mask_writing_spd(g)
+    assert got.dtype == want.dtype == np.int32
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+WORD_SIZES = [0, 1, 63, 64, 65, 129]
+
+
+class TestHopCountingKernel:
+    """The hop-counting kernel equals the mask-writing one exactly."""
+
+    @pytest.mark.parametrize("n", WORD_SIZES)
+    def test_edgeless_path_and_split(self, n):
+        assert_same_as_mask_writing(make_graph(n, []))
+        assert_same_as_mask_writing(make_graph(n, path_edges(n)))
+        half = n // 2  # two paths: every cross pair is unreachable
+        split = [(u, v) for u, v in path_edges(n) if (u < half) == (v < half)]
+        assert_same_as_mask_writing(make_graph(n, split))
+
+    @given(st.one_of(st.sampled_from(WORD_SIZES), st.integers(0, 140)),
+           st.lists(st.tuples(st.integers(0, 139), st.integers(0, 139)),
+                    max_size=300),
+           st.integers(0, 140), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, n, pairs, cut, split):
+        # with split, no edge crosses the cut, so the graph is disconnected
+        # whenever 0 < cut < n
+        edges = [(u, v) for u, v in pairs if u < n and v < n and u != v
+                 and not (split and (u < cut) != (v < cut))]
+        assert_same_as_mask_writing(make_graph(n, edges))
+
+
+def folded_keys(rows):
+    """The former ``tuple_keys``: folded int64 keys, re-densified by sort."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    bound = 1
+    for col in rows.T:
+        col = col.astype(np.int64)
+        lo = col.min(initial=0)
+        span = int(col.max(initial=0) - lo) + 1
+        keys = keys * span + (col - lo)
+        bound *= span
+        if bound > distance._KEY_LIMIT:
+            uniq, keys = np.unique(keys, return_inverse=True)
+            bound = len(uniq)
+    return keys
+
+
+def key_bound(rows):
+    """Bound of the folded key without re-densifying: the product of spans."""
+    rows = rows.astype(np.int64)
+    lo = np.minimum(rows.min(axis=0, initial=0), 0)
+    return np.prod((np.maximum(rows.max(axis=0, initial=0), 0) - lo + 1)
+                   .astype(float))
+
+
+def assert_tuple_ids_exact(rows):
+    ids, count = tuple_keys(rows)
+    assert ids.shape == (len(rows),)
+    assert np.array_equal(np.unique(ids), np.arange(count))
+    want = np.unique(folded_keys(rows), return_inverse=True)[1]
+    assert np.array_equal(ids, want.ravel())
+    if len(rows):  # ids number the rows in lexicographic order
+        lex = np.unique(rows, axis=0, return_inverse=True)[1]
+        assert np.array_equal(ids, lex.ravel())
+
+
+class TestTupleKeys:
+    def test_bucket_branch(self):
+        # three columns spanning 32 values each, more rows than keys
+        rows = np.random.default_rng(0).integers(0, 32, (40_000, 3))
+        assert key_bound(rows) <= len(rows)
+        assert_tuple_ids_exact(rows)
+
+    def test_sort_branch_wide_columns(self):
+        rows = np.random.default_rng(1).integers(-1, 10**4, (500, 2))
+        assert len(rows) < key_bound(rows) <= distance._KEY_LIMIT
+        assert_tuple_ids_exact(rows)
+
+    def test_sort_branch_crosses_key_limit(self):
+        # rows 0 and 1 differ in column 0 only, which a wrapped key would drop
+        rows = np.random.default_rng(2).integers(0, 256, (300, 13))
+        rows[1] = rows[0]
+        rows[1, 0] = (rows[0, 0] + 1) % 256
+        assert key_bound(rows) > distance._KEY_LIMIT
+        assert_tuple_ids_exact(rows)
+
+    @pytest.mark.parametrize("shape", [(0, 3), (5, 0), (0, 0), (1, 1)])
+    def test_degenerate_shapes(self, shape):
+        assert_tuple_ids_exact(np.zeros(shape, dtype=np.uint8))
+
+    @given(st.integers(0, 60), st.integers(1, 5), st.integers(1, 300),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=60, deadline=None)
+    def test_random_rows(self, rows, cols, spread, seed):
+        rng = np.random.default_rng(seed)
+        assert_tuple_ids_exact(rng.integers(-1, spread, (rows, cols)))
 
 
 class TestGhd:

@@ -439,6 +439,31 @@ class TestRefineOracle:
         assert np.array_equal(canonical(ids), canonical(expected))
 
 
+    @pytest.mark.parametrize("kind", ["twin", "rewired"])
+    def test_colors_keep_under_order_preserving_pair_keys(self, kind,
+                                                          monkeypatch):
+        # pair ids are dense ranks of the folded distance keys; any key map
+        # that keeps their order, such as the sparse folded keys themselves,
+        # gives the very same colors, not just the same partitions
+        g1, g2 = make_pair(kind, 40, 9, features=True)
+        want = {enc: refine_pair(g1, g2, enc) for enc in ORACLE_ENCODINGS}
+        dense_ids = refine._pair_ids
+        rng = np.random.default_rng(10)
+
+        def sparse_ids(keys):
+            ids = dense_ids(keys)
+            spread = np.cumsum(rng.integers(1, 1000, 1 + max(
+                int(p.max(initial=0)) for p in ids)))
+            return [spread[p] for p in ids]
+
+        monkeypatch.setattr(refine, "_pair_ids", sparse_ids)
+        for enc, cms in want.items():
+            for got, cm in zip(refine_pair(g1, g2, enc), cms):
+                assert len(got.colors) == len(cm.colors)
+                for a, b in zip(got.colors, cm.colors):
+                    assert np.array_equal(a, b)
+
+
 class TestEmptyGraphs:
     @pytest.mark.parametrize("enc", [SpdEncoding(),
                                      HdseEncoding(levels=2, algo="louvain"),
