@@ -12,10 +12,10 @@ it and ``build_coarse_graph`` contract by ``assign`` through ``_quotient``.
 A hierarchy is its input graph and its maps; each coarse level is derived as
 the quotient of the level below and nothing else: it has no features and no
 labels, and features reach it only through ``Hierarchy.projected_features``.
-Girvan-Newman runs no search of its own: after each edge removal, one
-``spd_all_pairs`` call on the component that lost the edge gives that
-component's distances, its split and its Brandes betweenness. With no target
-it stops once an exact modularity bound shows no later partition can win.
+Girvan-Newman reads its distances from the forward sweep of its own dense
+Brandes pass, one per edge removal on the component that lost the edge, and
+relabels the components only when a removal splits one. With no target it
+stops once an exact modularity bound shows no later partition can win.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import spd_all_pairs
 from .graph import (Graph, GraphParseError, GraphValidationError,
                     NodePermutation, graph_from_json_dict, make_graph,
                     parse_json, permute)
@@ -171,32 +170,40 @@ def louvain(g: Graph, seed: int = 0) -> Partition:
 # ---------------------------------------------------------------------------
 # Girvan-Newman
 
-def edge_betweenness(g: Graph, d: np.ndarray) -> np.ndarray:
-    """Exact edge betweenness of ``g``, aligned with ``g.edge_array()``.
+def _brandes(a: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hop distances ``d`` (int32, -1 if unreachable) of the dense 0/1
+    adjacency ``a`` and the exact betweenness of its u < v ``edges``.
 
-    ``d`` is ``spd_all_pairs(g)``. Brandes' accumulation runs for all sources
-    at once over the hop levels of ``d``: row s of ``sigma`` counts the
-    shortest paths from s, filled level by level forwards, and row s of
-    ``w`` holds (1 + delta) / sigma, the dependency of s on a node per path
-    through it, filled backwards. An edge (u, v) with v one level below u
-    carries sigma[s, u] * w[s, v] of the pairs from source s; each pair is
-    counted from both of its ends, hence the halving.
+    Brandes for all sources at once: row s of ``sigma`` counts the shortest
+    paths from s, filled by a forward sweep over the hop levels that also
+    writes ``d``; row s of ``w`` is (1 + delta) / sigma, the dependency of s
+    on a node per path through it, filled backwards one level mask at a time.
+    Edge (u, v), v one level below u, carries sigma[s, u] * w[s, v] of the
+    pairs from s; each pair counts from both of its ends, hence the halving.
     """
-    n = g.num_nodes
-    u, v = g.edge_array().T
-    a = np.zeros((n, n))
-    a[u, v] = a[v, u] = 1.0
-    on = [d == k for k in range(int(d.max(initial=0)) + 1)]
-    sigma = np.eye(n)
-    for k in range(1, len(on)):
-        sigma += ((sigma * on[k - 1]) @ a) * on[k]
+    n, k = len(a), 0
+    d = np.eye(n, dtype=np.int32) - 1
+    level = sigma = np.eye(n)  # level: the path counts of the pairs at hop k
+    while True:
+        nxt = level @ a
+        nxt[d >= 0] = 0.0
+        new = nxt > 0.0
+        if not new.any():
+            break
+        k += 1
+        d[new] = k
+        sigma += nxt
+        level = nxt
     delta, w = np.zeros((n, n)), np.zeros((n, n))
-    for k in range(len(on) - 1, 0, -1):
-        np.divide(1.0 + delta, sigma, out=w, where=on[k])
-        delta += ((w * on[k]) @ a) * sigma * on[k - 1]
+    below = d == k
+    for k in range(k, 0, -1):
+        on, below = below, d == k - 1
+        np.divide(1.0 + delta, sigma, out=w, where=on)
+        delta += ((w * on) @ a) * sigma * below
+    u, v = edges.T
     du, dv = d[:, u], d[:, v]
-    return ((dv == du + 1) * sigma[:, u] * w[:, v]
-            + (du == dv + 1) * sigma[:, v] * w[:, u]).sum(axis=0) / 2.0
+    return d, ((dv == du + 1) * sigma[:, u] * w[:, v]
+               + (du == dv + 1) * sigma[:, v] * w[:, u]).sum(axis=0) / 2.0
 
 
 def girvan_newman(g: Graph, target: int | None = None) -> Partition:
@@ -208,8 +215,8 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     recomputed after every removal; removing whole tie groups at once would
     erase every edge of a vertex-transitive graph in one step and never
     produce a nontrivial split. Only the component that lost the edge is
-    recomputed, by one ``spd_all_pairs`` call on its subgraph that gives its
-    distances, components and betweenness; nothing outside it can change.
+    re-solved, by one ``_brandes`` pass on its block of one dense adjacency,
+    and the partition is rescored only if the edge's ends fall apart.
 
     With ``target=None`` the loop stops once no later partition can win:
     each refines the current components P, so its modularity is at most
@@ -223,17 +230,17 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     ge = edges = g.edge_array()
     deg = g.degrees().astype(np.float64)
     floor = float(np.sum((deg / (2.0 * m)) ** 2))
-    d = spd_all_pairs(g)
-    bet = edge_betweenness(g, d)
+    a = np.zeros((n, n))
+    a[ge[:, 0], ge[:, 1]] = a[ge[:, 1], ge[:, 0]] = 1.0
+    d, bet = _brandes(a, edges)
     best, best_q = None, -np.inf
     while True:
         # each node is labeled by the smallest node it reaches
         part = Partition.from_assignment(
             np.where(d >= 0, np.arange(n), n).min(axis=1, initial=n))
-        if target is not None:
-            best = part
-            if best.num_clusters >= target:
-                return best
+        if target is not None:  # target <= n: n singletons always return
+            if part.num_clusters >= target:
+                return part
         else:
             inside = np.sum(part.assign[ge[:, 0]] == part.assign[ge[:, 1]]) / m
             deg_sum = np.bincount(part.assign, deg, part.num_clusters)
@@ -242,17 +249,20 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
                 best, best_q = part, q
             if inside - floor < best_q - 1e-9:
                 return best
-        if not len(edges):
-            return best
-        # edges stay lexsorted: the first maximal edge has the smallest id
-        drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
-        comp = d[edges[drop, 0]] >= 0  # the component losing the edge
-        edges, bet = np.delete(edges, drop, axis=0), np.delete(bet, drop)
-        # renumbering comp's nodes in increasing order keeps its edges sorted
-        mine = comp[edges[:, 0]]
-        sub = make_graph(int(comp.sum()), (np.cumsum(comp) - 1)[edges[mine]])
-        d[np.ix_(comp, comp)] = ds = spd_all_pairs(sub)
-        bet[mine] = edge_betweenness(sub, ds)
+        split = False
+        while not split:
+            if not len(edges):
+                return best
+            # edges stay lexsorted: the first maximal edge has the smallest id
+            drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
+            x, y = edges[drop]
+            a[x, y] = a[y, x] = 0.0
+            comp = d[x] >= 0  # the component losing the edge
+            edges, bet = np.delete(edges, drop, axis=0), np.delete(bet, drop)
+            mine = comp[edges[:, 0]]
+            d[np.ix_(comp, comp)], bet[mine] = _brandes(
+                a[np.ix_(comp, comp)], (np.cumsum(comp) - 1)[edges[mine]])
+            split = d[x, y] < 0
 
 
 # ---------------------------------------------------------------------------

@@ -18,14 +18,11 @@ from __future__ import annotations
 import json
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .coarsen import Hierarchy
 from .graph import Graph, GraphValidationError
-
-if TYPE_CHECKING:  # coarsen imports this module
-    from .coarsen import Hierarchy
 
 UNREACHABLE = -1  # raw distance of a disconnected pair
 
@@ -50,7 +47,8 @@ def spd_all_pairs(g: Graph) -> np.ndarray:
     nodes at the next distance. Hops are counted rather than written: each
     hop that reaches a new pair adds 1 to every pair not reached before it,
     so a pair gains 1 per hop until it is reached and ends at its distance.
-    Pairs never reached are marked ``UNREACHABLE`` after the last hop. The
+    Pairs never reached are marked ``UNREACHABLE`` after the last hop,
+    unless node 0 is reached from every source, which leaves none. The
     graph is undirected, so the unreached bits of source s at node v count
     directly as row v, column s of the symmetric result.
 
@@ -76,9 +74,8 @@ def spd_all_pairs(g: Graph) -> np.ndarray:
             break
         out += _unpack(~reached, n)
         reached |= frontier
-    unreached = _unpack(~reached, n)
-    if unreached.any():
-        out[unreached.view(bool)] = UNREACHABLE
+    if not _unpack(reached[:1], n).all():
+        out[_unpack(~reached, n).view(bool)] = UNREACHABLE
     return out
 
 
@@ -144,10 +141,12 @@ def tuple_keys(rows: np.ndarray) -> tuple[np.ndarray, int]:
     keys = np.zeros(len(rows), dtype=np.int64)
     bound = 1  # keys < bound
     for col in rows.T:
-        col = col.astype(np.int64)
+        col = col.astype(np.int64)  # a copy, folded in place
         lo = col.min(initial=0)
         span = int(col.max(initial=0) - lo) + 1
-        keys = keys * span + (col - lo)
+        col -= lo
+        keys *= span
+        keys += col
         bound *= span
         if bound > _KEY_LIMIT:
             keys, bound = _dense_ids(keys, bound)

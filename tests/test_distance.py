@@ -232,6 +232,20 @@ class TestTupleKeys:
     def test_degenerate_shapes(self, shape):
         assert_tuple_ids_exact(np.zeros(shape, dtype=np.uint8))
 
+    @pytest.mark.parametrize("dtype, lo, hi", [
+        (np.uint64, 0, 256), (np.uint64, 2 ** 30, 2 ** 30 + 300),
+        (np.int8, -128, 128), (np.int8, -5, 0)])
+    @pytest.mark.parametrize("cols", [1, 3, 13])
+    def test_uint64_and_negative_int8_codes(self, dtype, lo, hi, cols):
+        # the in-place fold casts uint64 columns before they meet the int64
+        # keys and shifts negative int8 columns by their minimum; the ids
+        # must equal those of the copying fold, ``folded_keys``
+        rows = np.random.default_rng(cols).integers(lo, hi, (400, cols),
+                                                    dtype=dtype)
+        before = rows.copy()
+        assert_tuple_ids_exact(rows)
+        assert np.array_equal(rows, before)
+
     @given(st.integers(0, 60), st.integers(1, 5), st.integers(1, 300),
            st.integers(0, 2 ** 16))
     @settings(max_examples=60, deadline=None)
