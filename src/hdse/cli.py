@@ -218,10 +218,11 @@ def main(argv=None) -> int:
     except (graph.GraphParseError, graph.GraphValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
-    except MemoryError:
-        # an input too large for its arrays, e.g. an edgeless level of
-        # millions of nodes whose n x n distance matrix cannot be allocated
-        print("error: input too large: out of memory", file=sys.stderr)
+    except MemoryError as e:
+        # an input past graph.MAX_PAIRS, refused before allocating, or one
+        # too large for this machine's memory
+        print(f"error: input too large: {e or 'out of memory'}",
+              file=sys.stderr)
         return EXIT_IO
 
 

@@ -26,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, GraphParseError, GraphValidationError,
-                    NodePermutation, graph_from_json_dict, make_graph,
-                    parse_json, permute)
+                    NodePermutation, check_pairs, graph_from_json_dict,
+                    make_graph, parse_json, permute)
 
 
 @dataclass(frozen=True)
@@ -222,11 +222,14 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     each refines the current components P, so its modularity is at most
     intra(P)/m - sum_v (deg_v/2m)^2, intra(P) counting the edges of ``g``
     inside P's clusters. The 1e-9 slack in that test keeps float rounding
-    from stopping before a partition that would have won.
+    from stopping before a partition that would have won. Past ``MAX_PAIRS``
+    node pairs, or (node, edge) pairs on a graph with more edges than nodes,
+    it raises MemoryError before allocating.
     """
     n, m = g.num_nodes, max(g.num_edges, 1)  # an edgeless graph scores 0
     if target is not None and target > n:
         raise GraphValidationError(f"target {target} exceeds {n} nodes")
+    check_pairs("girvan_newman", n * max(n, m))  # n x m edge gathers too
     ge = edges = g.edge_array()
     deg = g.degrees().astype(np.float64)
     floor = float(np.sum((deg / (2.0 * m)) ** 2))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coarsen import Hierarchy
-from .graph import Graph, GraphValidationError
+from .graph import Graph, GraphValidationError, check_pairs
 
 UNREACHABLE = -1  # raw distance of a disconnected pair
 
@@ -55,9 +55,11 @@ def spd_all_pairs(g: Graph) -> np.ndarray:
     Working memory besides the n x n int32 output: n x n/8-byte bitsets
     (``reached``, ``frontier`` and a few per-hop temporaries), the gathered
     neighbour frontiers (2m x n/8 bytes for m edges) and one unpacked
-    n x n uint8 array per hop.
+    n x n uint8 array per hop. Past ``MAX_PAIRS`` pairs it raises
+    MemoryError before allocating.
     """
     n = g.num_nodes
+    check_pairs("spd_all_pairs", n * n)
     out = np.zeros((n, n), dtype=np.int32)
     src = np.arange(n)
     reached = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
@@ -164,9 +166,14 @@ def _level_codes(g: Graph, clip: int) -> np.ndarray:
 
 
 def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
-    """Codes from base nodes to level-``base`` nodes at levels base..K."""
+    """Codes from base nodes to level-``base`` nodes at levels base..K.
+
+    Past ``MAX_PAIRS`` (base node, column) pairs it raises MemoryError
+    before allocating.
+    """
     rows = h.image(base)
     cols = np.arange(h.levels[base].num_nodes)
+    check_pairs("hdse", len(rows) * len(cols))
     entries = np.empty((len(rows), len(cols), h.max_level + 1 - base),
                        dtype=np.uint8)
     for m, level in enumerate(range(base, h.max_level + 1)):

@@ -115,6 +115,21 @@ class NodePermutation:
 # stores them in 32 bits, and from 2**60 up numpy cannot size an index array.
 MAX_NODES = 2**32
 
+# All-pairs work allocates arrays with one entry per node pair, and a dense
+# Girvan-Newman pass also one per (source, edge) pair. Larger inputs are
+# refused before anything is allocated, so that the largest accepted one
+# stays under about 4 GiB. Tracemalloc peaks: a dense Brandes pass up to
+# 88 B per pair (on a ring; 3.3 GiB at the limit), refinement 32 B per pair
+# of each graph (2.4 GiB for two graphs) and ``hdse`` 9 B per pair at K = 2.
+MAX_PAIRS = 40_000_000
+
+
+def check_pairs(what: str, pairs: int) -> None:
+    """Raise MemoryError naming ``MAX_PAIRS`` if ``pairs`` exceeds it."""
+    if pairs > MAX_PAIRS:
+        raise MemoryError(f"{what} needs {pairs} pairs, more than the limit "
+                          f"of {MAX_PAIRS} (MAX_PAIRS)")
+
 
 def make_graph(num_nodes: int, edges, features=None, labels=None) -> Graph:
     """Build and validate a Graph from an edge list (any iterable of pairs).

@@ -9,8 +9,9 @@ renumbered every iteration jointly over the graphs refined together: within
 one iteration, equal ids mean equal colors across a pair, so histograms are
 directly comparable; ids of different iterations are unrelated. Ids come
 from sorting and comparing rows, never from hashing, so two different
-colors can never merge. Every step refines the partition before it, so the
-loop stops when no graph gains a color, within max(1, n1, n2) steps.
+colors can never merge: one stable sort of the rows' bytes, over int32 keys
+when they fit. Every step refines the partition before it, so the loop
+stops when no graph gains a color, within max(1, n1, n2) steps.
 """
 
 from __future__ import annotations
@@ -75,23 +76,30 @@ class ColorMap:
 def _dense_rows(blocks: list[np.ndarray]) -> list[np.ndarray]:
     """Dense ids of the rows of 2-D arrays, jointly: equal rows share an id.
 
-    Rows of different widths never share an id: every row is zero-padded to
-    the widest block and led by its own width. Ids come from a lexicographic
-    sort and a comparison of adjacent rows, so they are exact.
+    Rows of different widths never share an id: each row is zero-padded to
+    the widest block and carries its width. Ids rank rows in ``np.lexsort``
+    order over (width, first, ..., last column): padded rows, reversed and
+    width last, are big-endian integers sorted as byte strings, whose order
+    is numeric for non-negative integers; equal neighbours share an id.
+    Float rows first become value ranks (-0.0 == 0.0, NaN == NaN).
     """
     width = max(b.shape[1] for b in blocks)
     rows = np.zeros((sum(len(b) for b in blocks), width + 1),
-                    dtype=np.result_type(*blocks))
+                    dtype=np.result_type(*blocks).newbyteorder(">"))
     start = 0
     for b in blocks:
-        rows[start:start + len(b), 0] = b.shape[1]
-        rows[start:start + len(b), 1:b.shape[1] + 1] = b
+        rows[start:start + len(b), width - b.shape[1]:width] = b[:, ::-1]
+        rows[start:start + len(b), width] = b.shape[1]
         start += len(b)
-    order = np.lexsort(rows.T)
-    ordered = rows[order]
-    first = np.ones(len(rows), dtype=bool)
-    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
+    if rows.dtype.kind == "f":
+        ranks = np.unique(rows, return_inverse=True)[1]
+        rows = ranks.reshape(rows.shape).astype(">i8")
+    items = rows.view(np.dtype((np.void, rows.strides[0]))).ravel()
+    order = np.argsort(items, kind="stable")
+    ordered = items[order]
+    first = np.ones(len(items), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    ids = np.empty(len(items), dtype=np.int64)
     ids[order] = np.cumsum(first) - 1
     return np.split(ids, np.cumsum([len(b) for b in blocks])[:-1])
 
@@ -115,16 +123,22 @@ def _initial_colors(graphs: list[Graph]) -> list[np.ndarray]:
                         else np.empty((g.num_nodes, 0)) for g in graphs])
 
 
-def _refine_step(pairs: list[np.ndarray],
-                 colors: list[np.ndarray]) -> list[np.ndarray]:
+def _refine_step(pairs: list[np.ndarray], colors: list[np.ndarray],
+                 top: int) -> list[np.ndarray]:
     """Recolor v by its multiset of (pair id of (v, u), color of u).
 
-    ``pair * base + color`` with base above every color is one exact int64
-    per (pair, color); a node's multiset is its row of those, sorted.
+    ``pair * base + color`` with base above every color is one exact key
+    per (pair, color), int32 when pair ids up to ``top`` allow it and int64
+    otherwise; a node's multiset is its row of those, sorted.
     """
     base = 1 + max(int(c.max(initial=-1)) for c in colors)
-    return _dense_rows([np.sort(p * base + c, axis=1)
-                        for p, c in zip(pairs, colors)])
+    dtype = np.int32 if (top + 1) * base < 2 ** 31 else np.int64
+    keys = [p.astype(dtype) for p in pairs]
+    for k, c in zip(keys, colors):
+        k *= base
+        k += c.astype(dtype)
+        k.sort(axis=1)
+    return _dense_rows(keys)
 
 
 def _refine(graphs: list[Graph], enc: Encoding) -> list[ColorMap]:
@@ -138,12 +152,13 @@ def _refine(graphs: list[Graph], enc: Encoding) -> list[ColorMap]:
     max(1, n1, n2) steps.
     """
     pairs = _pair_ids([_distance_keys(g, enc) for g in graphs])
+    top = max(int(p.max(initial=0)) for p in pairs)
     colors = _initial_colors(graphs)
     cms = [ColorMap() for _ in graphs]
     for cm, c in zip(cms, colors):
         cm.append(c)
     while True:
-        colors = _refine_step(pairs, colors)
+        colors = _refine_step(pairs, colors, top)
         for cm, c in zip(cms, colors):
             cm.append(c)
         if all(cm.history[-1] == cm.history[-2] for cm in cms):

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdse import coarsen, graph
 from hdse.cli import main
 from hdse.coarsen import girvan_newman, hierarchy_from_json
 from hdse.distance import read_tensor
@@ -18,6 +19,7 @@ from hdse.refine import desargues_graph, dodecahedron_graph
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = SRC.parent / "README.md"
 
 
 def run_cli(*args, cwd, max_bytes=None):
@@ -226,6 +228,66 @@ class TestUnreadableInput:
         capsys.readouterr()
         assert main(["encode", str(h), "-o", str(tmp_path / "t.bin")]) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestPairLimit:
+    """All-pairs work past graph.MAX_PAIRS exits 2 before allocating."""
+
+    # 6325**2 is just above MAX_PAIRS = 40,000,000; 6324**2 is below it
+    N = 6325
+
+    def assert_refused(self, tmp_path, *args):
+        start = time.perf_counter()
+        proc = run_cli(*args, "-o", str(tmp_path / "out"), cwd=tmp_path,
+                       max_bytes=2**30)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: input too large: ")
+        assert "limit of 40000000 (MAX_PAIRS)" in proc.stderr
+        return proc.stderr
+
+    def test_limit_is_documented(self):
+        assert graph.MAX_PAIRS == 40_000_000
+        assert f"{graph.MAX_PAIRS:,}" in README.read_text()
+
+    def test_gdwl_refused(self, tmp_path):
+        f = tmp_path / "g.txt"
+        f.write_text(f"n {self.N}\n")
+        err = self.assert_refused(tmp_path, "gdwl", str(f), str(f))
+        assert "spd_all_pairs needs 40005625 pairs" in err
+
+    @pytest.mark.parametrize("base", ["0", "1"])
+    def test_encode_refused(self, tmp_path, base):
+        h = coarsen.build_hierarchy(graph.make_graph(self.N, []), "hem", 1)
+        f = tmp_path / "h.json"
+        f.write_text(coarsen.hierarchy_to_json(h))
+        err = self.assert_refused(tmp_path, "encode", str(f),
+                                  "--base-level", base)
+        assert "hdse needs 40005625 pairs" in err
+
+    # a ring past the limit, and a circulant graph with fewer node pairs
+    # than the limit whose n x m edge gathers pass it
+    @pytest.mark.parametrize("n, steps", [(N, (1,)), (3000, (1, 2, 3, 4, 5))])
+    def test_newman_refused(self, tmp_path, n, steps):
+        edges = [(i, (i + k) % n) for k in steps for i in range(n)]
+        f = tmp_path / "g.txt"
+        f.write_text(f"n {n}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        err = self.assert_refused(tmp_path, "coarsen", str(f), "--algo",
+                                  "newman")
+        assert f"girvan_newman needs {n * max(n, len(edges))} pairs" in err
+
+    def test_at_the_limit_runs(self, tmp_path, monkeypatch, capsys):
+        # the check is on the count alone: one pair under the (lowered)
+        # limit runs, one over it exits 2 with the limit in the message
+        monkeypatch.setattr(graph, "MAX_PAIRS", 36)
+        for n, code in ((6, 1), (7, 2)):
+            f = tmp_path / f"c{n}.txt"
+            assert main(["named-graph", f"cycle({n})", "-o", str(f)]) == 0
+            capsys.readouterr()
+            assert main(["gdwl", str(f), str(f)]) == code
+            err = capsys.readouterr().err
+            assert ("limit of 36" in err) == (code == 2)
 
 
 class TestCoarsen:

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hdse import coarsen
+from hdse import coarsen, graph
 from hdse.coarsen import (Hierarchy, Partition, _brandes, _quotient,
                           build_coarse_graph, build_hierarchy, girvan_newman,
                           heavy_edge_matching, hierarchy_from_json,
@@ -718,6 +718,17 @@ class TestGirvanNewman:
         assert sorted(np.bincount(p.assign).tolist()) == [5, 5, 5, 5]
         edges = g.edge_array()
         assert np.any(p.assign[edges[:, 0]] != p.assign[edges[:, 1]])
+
+    def test_pair_limit_counts_nodes_or_edges(self, monkeypatch):
+        # n * max(n, m) pairs: the dense adjacency is n x n and the edge
+        # gathers of each Brandes pass are n x m
+        for g in (two_cliques_bridge(4), make_graph(9, [(0, 1)])):
+            count = g.num_nodes * max(g.num_nodes, g.num_edges)
+            monkeypatch.setattr(graph, "MAX_PAIRS", count)
+            girvan_newman(g)
+            monkeypatch.setattr(graph, "MAX_PAIRS", count - 1)
+            with pytest.raises(MemoryError, match=f"limit of {count - 1}"):
+                girvan_newman(g)
 
     def test_betweenness_star_center(self):
         # star with 4 spokes: a spoke carries the one shortest path from its

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdse.coarsen import Partition, build_hierarchy, permute_hierarchy
-from hdse import distance
+from hdse import distance, graph
 from hdse.distance import (UNREACHABLE, ghd, hdse, high_level_hdse,
                            read_tensor, spd_all_pairs, tuple_keys,
                            write_tensor)
@@ -47,6 +47,21 @@ class TestSpd:
     def test_disconnected_pair(self):
         g = make_graph(4, [(0, 1), (2, 3)])
         assert spd_all_pairs(g)[0, 2] == UNREACHABLE
+
+    def test_pair_limit(self, monkeypatch):
+        # refused past MAX_PAIRS node pairs, whichever level or encoder
+        h = build_hierarchy(random_graph(6, 0.5, 3), "hem", 1)
+        monkeypatch.setattr(graph, "MAX_PAIRS", 36)
+        spd_all_pairs(h.levels[0])
+        hdse(h)
+        high_level_hdse(h, 1)
+        monkeypatch.setattr(graph, "MAX_PAIRS", 35)
+        for run in (spd_all_pairs, hdse):
+            with pytest.raises(MemoryError, match="limit of 35"):
+                run(h.levels[0] if run is spd_all_pairs else h)
+        monkeypatch.setattr(graph, "MAX_PAIRS", 6 * h.levels[1].num_nodes - 1)
+        with pytest.raises(MemoryError, match="hdse needs"):
+            high_level_hdse(h, 1)
 
     def test_matches_floyd_warshall(self):
         g = random_graph(50, 0.1, 7)

@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdse import distance, refine
 from hdse.coarsen import build_hierarchy
@@ -300,6 +302,49 @@ def oracle_refine_pair(g1, g2, enc):
     return out, histories, verdict
 
 
+# Oracle for the rank: refinement as it was with one ``np.lexsort`` over the
+# padded rows and int64 keys. The library must give the very same ids.
+
+def lexsort_dense_rows(blocks):
+    width = max(b.shape[1] for b in blocks)
+    rows = np.zeros((sum(len(b) for b in blocks), width + 1),
+                    dtype=np.result_type(*blocks))
+    start = 0
+    for b in blocks:
+        rows[start:start + len(b), 0] = b.shape[1]
+        rows[start:start + len(b), 1:b.shape[1] + 1] = b
+        start += len(b)
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ids = np.empty(len(rows), dtype=np.int64)
+    ids[order] = np.cumsum(first) - 1
+    return np.split(ids, np.cumsum([len(b) for b in blocks])[:-1])
+
+
+def int64_refine_step(pairs, colors):
+    base = 1 + max(int(c.max(initial=-1)) for c in colors)
+    return lexsort_dense_rows([np.sort(p * base + c, axis=1)
+                               for p, c in zip(pairs, colors)])
+
+
+def lexsort_refine(graphs, enc):
+    """Colors per iteration of each graph, from the lexsort rank."""
+    pairs = refine._pair_ids([refine._distance_keys(g, enc) for g in graphs])
+    colors = lexsort_dense_rows([g.features if g.features is not None
+                                 else np.empty((g.num_nodes, 0))
+                                 for g in graphs])
+    out = [[c] for c in colors]
+    while True:
+        colors = int64_refine_step(pairs, colors)
+        for seq, c in zip(out, colors):
+            seq.append(c)
+        if all(len(np.unique(seq[-1])) == len(np.unique(seq[-2]))
+               for seq in out):
+            return out
+
+
 def canonical(colors):
     """Relabel colors by first appearance: equal iff same partition."""
     _, first, inverse = np.unique(colors, return_index=True,
@@ -309,6 +354,10 @@ def canonical(colors):
 
 def assert_matches_oracle(g1, g2, enc):
     cm1, cm2 = refine_pair(g1, g2, enc)
+    for cm, want in zip((cm1, cm2), lexsort_refine([g1, g2], enc)):
+        assert len(cm.colors) == len(want)
+        for got, exp in zip(cm.colors, want):
+            assert got.dtype == exp.dtype and np.array_equal(got, exp)
     (o1, o2), (h1, h2), verdict = oracle_refine_pair(g1, g2, enc)
     assert len(cm1.colors) == len(cm2.colors) == len(o1) == len(o2)
     for it, (c1, c2, e1, e2) in enumerate(zip(cm1.colors, cm2.colors, o1, o2)):
@@ -390,6 +439,36 @@ class TestRefineOracle:
         for enc in (SpdEncoding(), HdseEncoding(levels=1, algo="louvain")):
             assert assert_matches_oracle(g1, g2, enc)
 
+    @pytest.mark.parametrize("widths", [(2, 2), (1, 3), (0, 2), (3, None)])
+    def test_float_features_match_oracle(self, widths):
+        # negative values, -0.0 next to 0.0, and rows of different widths
+        # across the pair: the value ranks must keep the floats' order and
+        # ties, and the padding, exactly as the lexsort over the floats did
+        rng = np.random.default_rng(11)
+        values = np.array([-2.5, -1e-300, -0.0, 0.0, 0.5, 3.0])
+        for n in (9, 16):
+            g, _ = make_pair("rewired", n, n, features=False)
+            feats = [None if w is None else values[rng.integers(
+                0, len(values), size=(n, w))] for w in widths]
+            g1 = make_graph(n, g.edge_array(), features=feats[0])
+            g2 = make_graph(n, changed(g, "rewired", rng).edge_array(),
+                            features=feats[1])
+            for enc in (SpdEncoding(), HdseEncoding(levels=2, algo="hem")):
+                assert_matches_oracle(g1, g2, enc)
+                assert_matches_oracle(g1, g1, enc)
+
+    def test_signed_zero_and_nan_features_tie(self):
+        # -0.0 == 0.0, and NaN features tie with each other, so a graph with
+        # them is never told apart from itself
+        g, _ = make_pair("twin", 12, 12, features=False)
+        feats = np.zeros((12, 2))
+        feats[::2, 0] = -0.0
+        feats[::3, 1] = np.nan
+        h = make_graph(12, g.edge_array(), features=feats)
+        cm = gd_wl_refine(h, SpdEncoding())
+        assert cm.history[0] == 2
+        assert not distinguishes(h, h, SpdEncoding())
+
     def test_named_pairs_match_oracle(self):
         dod, des = dodecahedron_graph(), desargues_graph()
         assert not assert_matches_oracle(dod, des, SpdEncoding())
@@ -462,6 +541,74 @@ class TestRefineOracle:
                 assert len(got.colors) == len(cm.colors)
                 for a, b in zip(got.colors, cm.colors):
                     assert np.array_equal(a, b)
+
+
+@st.composite
+def row_blocks(draw):
+    """Blocks of non-negative int32 or int64 rows of different widths.
+
+    Values may be small or reach past 2**31; rows may all be equal, or
+    differ only in their smallest (first) key, as sorted multisets do.
+    """
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    top = draw(st.sampled_from([0, 1, 7, 2 ** 31 - 1] + (
+        [2 ** 31, 2 ** 62] if dtype == np.int64 else [])))
+    kind = draw(st.sampled_from(["random", "equal", "smallest"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    shapes = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 5)),
+                           min_size=1, max_size=3))
+    base = np.sort(rng.integers(0, top + 1, size=5, dtype=dtype))
+    blocks = []
+    for rows, width in shapes:
+        if kind == "random":
+            b = rng.integers(0, top + 1, size=(rows, width), dtype=dtype)
+        else:
+            b = np.tile(base[:width], (rows, 1))
+            if kind == "smallest" and width:
+                b[:, 0] = rng.integers(0, base[0] + 1, size=rows)
+        blocks.append(b)
+    return blocks
+
+
+class TestRowRank:
+    @settings(max_examples=200, deadline=None)
+    @given(blocks=row_blocks())
+    def test_byte_rank_equals_lexsort(self, blocks):
+        got = refine._dense_rows(blocks)
+        want = lexsort_dense_rows(blocks)
+        assert len(got) == len(want) == len(blocks)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("base, top, dtype", [
+        (1024, 2 ** 21 - 2, np.int32), (1024, 2 ** 21 - 1, np.int64),
+        (1, 2 ** 31 - 2, np.int32), (1, 2 ** 31 - 1, np.int64),
+        (3, 2 ** 40, np.int64)])
+    def test_step_keys_on_both_sides_of_int32(self, base, top, dtype,
+                                              monkeypatch):
+        # keys are int32 exactly when (top + 1) * base < 2**31; the ids are
+        # those of int64 keys on either side
+        rng = np.random.default_rng(top % 997)
+        pairs, colors = [], []
+        for n in (6, 4):
+            p = rng.integers(0, top + 1, size=(n, n))
+            p[0, -1] = top
+            c = rng.integers(0, base, size=n)
+            c[-1] = base - 1
+            pairs.append(p)
+            colors.append(c)
+        seen = []
+        rank = refine._dense_rows
+
+        def spy(blocks):
+            seen.extend(b.dtype for b in blocks)
+            return rank(blocks)
+
+        monkeypatch.setattr(refine, "_dense_rows", spy)
+        got = refine._refine_step(pairs, colors, top)
+        assert seen == [np.dtype(dtype)] * 2
+        for a, b in zip(got, int64_refine_step(pairs, colors)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestEmptyGraphs:
