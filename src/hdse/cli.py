@@ -46,9 +46,11 @@ class SystemExitError(Exception):
 
 def _write_output(payload, out_path: str | None, binary: bool = False) -> None:
     if out_path:
-        mode = "wb" if binary else "w"
-        with open(out_path, mode) as f:
-            f.write(payload)
+        try:
+            with open(out_path, "wb" if binary else "w") as f:
+                f.write(payload)
+        except OSError as e:
+            raise SystemExitError(EXIT_IO, f"cannot write {out_path}: {e}")
     elif binary:
         sys.stdout.buffer.write(payload)
     else:

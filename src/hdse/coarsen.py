@@ -15,7 +15,8 @@ labels, and features reach it only through ``Hierarchy.projected_features``.
 Girvan-Newman reads its distances from the forward sweep of its own dense
 Brandes pass, one per edge removal on the component that lost the edge, and
 relabels the components only when a removal splits one. With no target it
-stops once an exact modularity bound shows no later partition can win.
+stops once a sum of per-component modularity bounds shows that no later
+partition, each a refinement of the current components, can win.
 """
 
 from __future__ import annotations
@@ -218,24 +219,29 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     re-solved, by one ``_brandes`` pass on its block of one dense adjacency,
     and the partition is rescored only if the edge's ends fall apart.
 
-    With ``target=None`` the loop stops once no later partition can win:
-    each refines the current components P, so its modularity is at most
-    intra(P)/m - sum_v (deg_v/2m)^2, intra(P) counting the edges of ``g``
-    inside P's clusters. The 1e-9 slack in that test keeps float rounding
-    from stopping before a partition that would have won. Past ``MAX_PAIRS``
-    node pairs, or (node, edge) pairs on a graph with more edges than nodes,
-    it raises MemoryError before allocating.
+    With ``target=None`` the loop stops once no later partition can win.
+    Each refines the current components. Say it splits component C, with
+    e(C) edges of ``g`` inside, degree sum D_C and squared degrees summing
+    to S_C, into p parts: C is connected in the remaining graph, so it cuts
+    at least p - 1 of those edges, and the parts' squared degree sums add up
+    to at least D_C^2/p (Cauchy-Schwarz) and at least S_C. So C adds at most
+    B_C = max over p in 1..|C| of (e(C) - p + 1)/m - max(D_C^2/p, S_C)/4m^2,
+    and the loop stops once sum_C B_C is below the best modularity so far.
+    The 1e-9 slack in that test keeps float rounding from stopping before a
+    partition that would have won. Past ``MAX_PAIRS`` node pairs, or (node,
+    edge) pairs on a graph with more edges than nodes, it raises MemoryError
+    before allocating.
     """
     n, m = g.num_nodes, max(g.num_edges, 1)  # an edgeless graph scores 0
     if target is not None and target > n:
         raise GraphValidationError(f"target {target} exceeds {n} nodes")
     check_pairs("girvan_newman", n * max(n, m))  # n x m edge gathers too
-    ge = edges = g.edge_array()
+    edges = g.edge_array()
     deg = g.degrees().astype(np.float64)
-    floor = float(np.sum((deg / (2.0 * m)) ** 2))
     a = np.zeros((n, n))
-    a[ge[:, 0], ge[:, 1]] = a[ge[:, 1], ge[:, 0]] = 1.0
+    a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
     d, bet = _brandes(a, edges)
+    alive = np.ones(len(edges), dtype=bool)
     best, best_q = None, -np.inf
     while True:
         # each node is labeled by the smallest node it reaches
@@ -245,26 +251,33 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
             if part.num_clusters >= target:
                 return part
         else:
-            inside = np.sum(part.assign[ge[:, 0]] == part.assign[ge[:, 1]]) / m
-            deg_sum = np.bincount(part.assign, deg, part.num_clusters)
-            q = inside - float(np.sum((deg_sum / (2.0 * m)) ** 2))
+            c, (cu, cv) = part.num_clusters, part.assign[edges.T]
+            e = np.bincount(cu[cu == cv], minlength=c)  # edges inside each C
+            dsum = np.bincount(part.assign, deg, c)
+            q = e.sum() / m - float(np.sum((dsum / (2.0 * m)) ** 2))
             if q > best_q + 1e-12:
                 best, best_q = part, q
-            if inside - floor < best_q - 1e-9:
-                return best
+            # B_C over p = 1..|C| for every component C, in one flat array
+            of = np.repeat(np.arange(c), np.bincount(part.assign, minlength=c))
+            first = np.searchsorted(of, np.arange(c))
+            p = np.arange(1, n + 1) - first[of]
+            sq = np.bincount(part.assign, deg * deg, c)[of]
+            b = ((e[of] - p + 1) / m
+                 - np.maximum(dsum[of] ** 2 / p, sq) / (4.0 * m * m))
+            if c == n or np.maximum.reduceat(b, first).sum() < best_q - 1e-9:
+                return best  # no edge left, or no later partition can win
         split = False
         while not split:
-            if not len(edges):
-                return best
-            # edges stay lexsorted: the first maximal edge has the smallest id
+            # a removed edge keeps its id at -inf, so no array is copied and
+            # the first maximal edge is still the one with the smallest id
             drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
             x, y = edges[drop]
             a[x, y] = a[y, x] = 0.0
+            alive[drop], bet[drop] = False, -np.inf
             comp = d[x] >= 0  # the component losing the edge
-            edges, bet = np.delete(edges, drop, axis=0), np.delete(bet, drop)
-            mine = comp[edges[:, 0]]
-            d[np.ix_(comp, comp)], bet[mine] = _brandes(
-                a[np.ix_(comp, comp)], (np.cumsum(comp) - 1)[edges[mine]])
+            idx, mine = np.flatnonzero(comp), alive & comp[edges[:, 0]]
+            d[idx[:, None], idx], bet[mine] = _brandes(
+                a[idx[:, None], idx], (np.cumsum(comp) - 1)[edges[mine]])
             split = d[x, y] < 0
 
 

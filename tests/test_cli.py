@@ -230,6 +230,47 @@ class TestUnreadableInput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestUnwritableOutput:
+    """An -o path that cannot be opened exits 2, a negative verdict's 1
+    included, and creates no file."""
+
+    def args(self, command, p3_file, tmp_path):
+        if command == "encode":
+            h = tmp_path / "h.json"
+            assert main(["coarsen", p3_file, "-K", "0", "-o", str(h)]) == 0
+            return ["encode", str(h)]
+        return {"coarsen": ["coarsen", p3_file],
+                # p3 against itself (verdict 1) and against an edge (0)
+                "gdwl": ["gdwl", p3_file, p3_file],
+                "gdwl distinguished": ["gdwl", p3_file, str(tmp_path / "e")],
+                "demo": ["demo", "--seeds", "1", "--epochs", "1"],
+                "named-graph": ["named-graph", "dodecahedron"]}[command]
+
+    @pytest.mark.parametrize("command", ["coarsen", "encode", "gdwl",
+                                         "gdwl distinguished", "demo",
+                                         "named-graph"])
+    @pytest.mark.parametrize("where", ["missing dir", "directory"])
+    def test_exit_2_and_no_file(self, command, where, p3_file, tmp_path,
+                                capsys):
+        (tmp_path / "e").write_text("0 1\n")
+        args = self.args(command, p3_file, tmp_path)
+        out = tmp_path / "missing" / "out" if where == "missing dir" \
+            else tmp_path
+        before = sorted(tmp_path.rglob("*"))
+        capsys.readouterr()
+        assert main([*args, "-o", str(out)]) == 2
+        assert sorted(tmp_path.rglob("*")) == before
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_no_traceback(self, tmp_path):
+        proc = run_cli("named-graph", "dodecahedron", "-o", "missing/x.txt",
+                       cwd=tmp_path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: cannot write missing/x.txt: ")
+        assert not (tmp_path / "missing").exists()
+
+
 class TestPairLimit:
     """All-pairs work past graph.MAX_PAIRS exits 2 before allocating."""
 

@@ -4,6 +4,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from hdse.coarsen import (Hierarchy, Partition, _brandes, _quotient,
 from hdse.distance import spd_all_pairs
 from hdse.graph import (GraphParseError, GraphValidationError,
                         NodePermutation, make_graph)
-from hdse.refine import generalized_petersen
+from hdse.refine import (desargues_graph, dodecahedron_graph,
+                         generalized_petersen)
 
 
 def two_cliques_bridge(k=4):
@@ -338,6 +340,76 @@ def modularity_bound_oracle(g, part):
     return intra / m - sum((k / (2 * m)) ** 2 for k in g.degrees().tolist())
 
 
+def component_bound_oracle(g, part):
+    """The sum over ``part``'s clusters C of max over p in 1..|C| of
+    (e(C) - p + 1)/m - max(D_C^2/p, S_C)/4m^2 by Python loops: e(C) counts
+    the edges of ``g`` inside C, D_C and S_C sum the degrees of C and their
+    squares."""
+    m, deg = g.num_edges, g.degrees().tolist()
+    total = 0.0
+    for c in range(part.num_clusters):
+        nodes = [v for v in range(g.num_nodes) if part.assign[v] == c]
+        e = sum(part.assign[u] == c == part.assign[v]
+                for u, v in g.edge_array().tolist())
+        dc, sc = sum(deg[v] for v in nodes), sum(deg[v] ** 2 for v in nodes)
+        total += max((e - p + 1) / m - max(dc * dc / p, sc) / (4 * m * m)
+                     for p in range(1, len(nodes) + 1))
+    return total
+
+
+def delete_girvan_newman_oracle(g, target=None):
+    """The former Girvan-Newman: it copies ``edges`` and ``bet`` without the
+    removed edge (``np.delete``) and stops at the whole-graph bound
+    intra(P)/m - sum_v (deg_v/2m)^2. It calls ``coarsen._brandes`` through
+    the module, so ``brandes_calls`` counts its passes too."""
+    n, m = g.num_nodes, max(g.num_edges, 1)
+    ge = edges = g.edge_array()
+    deg = g.degrees().astype(np.float64)
+    floor = float(np.sum((deg / (2.0 * m)) ** 2))
+    a = dense_adjacency(g)
+    d, bet = coarsen._brandes(a, edges)
+    best, best_q = None, -np.inf
+    while True:
+        part = Partition.from_assignment(
+            np.where(d >= 0, np.arange(n), n).min(axis=1, initial=n))
+        if target is not None:
+            if part.num_clusters >= target:
+                return part
+        else:
+            inside = np.sum(part.assign[ge[:, 0]] == part.assign[ge[:, 1]]) / m
+            deg_sum = np.bincount(part.assign, deg, part.num_clusters)
+            q = inside - float(np.sum((deg_sum / (2.0 * m)) ** 2))
+            if q > best_q + 1e-12:
+                best, best_q = part, q
+            if inside - floor < best_q - 1e-9:
+                return best
+        split = False
+        while not split:
+            if not len(edges):
+                return best
+            drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
+            x, y = edges[drop]
+            a[x, y] = a[y, x] = 0.0
+            comp = d[x] >= 0
+            edges, bet = np.delete(edges, drop, axis=0), np.delete(bet, drop)
+            mine = comp[edges[:, 0]]
+            d[np.ix_(comp, comp)], bet[mine] = coarsen._brandes(
+                a[np.ix_(comp, comp)], (np.cumsum(comp) - 1)[edges[mine]])
+            split = d[x, y] < 0
+
+
+def brandes_calls(fn, g, target=None):
+    """``fn(g, target)`` and the number of ``_brandes`` passes it ran."""
+    calls = []
+
+    def counting(a, edges):
+        calls.append(len(a))
+        return _brandes(a, edges)
+
+    with mock.patch.object(coarsen, "_brandes", counting):
+        return fn(g, target), len(calls)
+
+
 def ring_of_cliques(k, size, extra=0):
     """k cliques joined in a ring by single edges, then ``extra`` isolated
     nodes; Louvain merges the cliques over several aggregations."""
@@ -446,9 +518,14 @@ def assert_betweenness_matches(g):
 
 
 def assert_girvan_newman_matches(g, target):
-    got, want = girvan_newman(g, target), girvan_newman_oracle(g, target)
-    assert got.num_clusters == want.num_clusters
-    np.testing.assert_array_equal(got.assign, want.assign)
+    """Same partition as the whole removal sequence and as the former loop,
+    in no more ``_brandes`` passes than the former loop."""
+    got, calls = brandes_calls(girvan_newman, g, target)
+    kept, kept_calls = brandes_calls(delete_girvan_newman_oracle, g, target)
+    for want in (girvan_newman_oracle(g, target), kept):
+        assert got.num_clusters == want.num_clusters
+        np.testing.assert_array_equal(got.assign, want.assign)
+    assert calls <= kept_calls
 
 
 class TestGirvanNewmanAgainstOracle:
@@ -469,7 +546,7 @@ class TestGirvanNewmanAgainstOracle:
             g = generalized_petersen(n, k)
             assert_betweenness_matches(g)
             assert_same_as_csr_girvan_newman(g)
-            for target in (None, 2):
+            for target in (None, 1, 2, 3):
                 assert_girvan_newman_matches(g, target)
 
     @settings(max_examples=60, deadline=None)
@@ -492,6 +569,47 @@ class TestGirvanNewmanAgainstOracle:
         for part in reversed(parts):
             later_best = max(later_best, modularity(g, part))
             assert later_best <= modularity_bound_oracle(g, part) + 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_graphs())
+    # isolated nodes: components of one node and of zero degree
+    @example(make_graph(6, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    @example(make_graph(4, [(1, 2)]))
+    def test_component_bound_holds_along_the_sequence(self, g):
+        # every later partition refines the current one and splits each
+        # component C into p parts, so C adds at most B_C to its modularity;
+        # the sum of the B_C is at most the whole-graph bound
+        if not g.num_edges:
+            return
+        parts = list(removal_sequence_oracle(g))
+        bounds = [component_bound_oracle(g, part) for part in parts]
+        later_best = -np.inf
+        for part, bound in zip(reversed(parts), reversed(bounds)):
+            later_best = max(later_best, modularity(g, part))
+            assert later_best - 1e-12 <= bound
+            assert bound <= modularity_bound_oracle(g, part) + 1e-12
+        # girvan_newman stops at the first partition whose bound is below
+        # the best modularity so far: one pass, then one per removal
+        best_q = -np.inf
+        for stop, (part, bound) in enumerate(zip(parts, bounds)):
+            if (q := modularity(g, part)) > best_q + 1e-12:
+                best_q = q
+            if bound < best_q - 1e-9:
+                break
+        assert brandes_calls(girvan_newman, g)[1] == stop + 1
+
+    # _brandes passes of the former loop and of this one; a looser stop
+    # bound runs more passes and fails here
+    @pytest.mark.parametrize("make, kept, calls", [
+        (dodecahedron_graph, 20, 14),
+        (desargues_graph, 20, 15),
+        (lambda: generalized_petersen(30, 7), 43, 33),
+        (lambda: ring_of_cliques(8, 4), 15, 12),
+    ], ids=["dodecahedron", "desargues", "GP(30,7)", "ring_of_cliques(8,4)"])
+    def test_brandes_passes_are_pinned(self, make, kept, calls):
+        g = make()
+        assert brandes_calls(delete_girvan_newman_oracle, g)[1] == kept
+        assert brandes_calls(girvan_newman, g)[1] == calls
 
     def test_stops_before_the_last_edge(self, monkeypatch):
         g = ring_of_cliques(8, 4)
@@ -710,7 +828,6 @@ class TestGirvanNewman:
         assert modularity(g, p) >= modularity(g, trivial)
 
     def test_dodecahedron_peak_has_adjacent_clusters(self):
-        from hdse.refine import dodecahedron_graph
         g = dodecahedron_graph()
         p = girvan_newman(g, target=None)
         # golden values from tracing the deterministic removal sequence
