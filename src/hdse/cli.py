@@ -213,6 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        # refuse an -o path that cannot be created before doing the work
+        # (a demo run trains for seconds); _write_output checks again
+        if args.output:
+            out = Path(args.output)
+            if out.is_dir():
+                raise SystemExitError(
+                    EXIT_IO, f"cannot write {args.output}: is a directory")
+            if not out.parent.is_dir():
+                raise SystemExitError(
+                    EXIT_IO, f"cannot write {args.output}: "
+                    f"no directory {out.parent}")
         return args.func(args)
     except SystemExitError as e:
         print(f"error: {e}", file=sys.stderr)

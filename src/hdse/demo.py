@@ -82,26 +82,29 @@ def _distance_codes(g: Graph, encoding: str, seed: int) -> np.ndarray | None:
 
 
 def make_dataset(cfg: DemoConfig, seed: int):
-    """Graphs with random features, block labels, and node splits."""
+    """Graphs and their batch: (graphs, x, labels, masks).
+
+    ``x`` holds random features, (graphs, nodes, FEATURE_DIM); ``labels``
+    the block of each node, (graphs, nodes); ``masks`` maps "train", "val"
+    and "test" to (graphs, nodes) boolean node splits.
+    """
     rng = np.random.default_rng(seed)
-    items = []
-    for i in range(cfg.num_graphs):
-        g = community_pair_graph(NODES_PER_BLOCK, P_INTRA, Q_INTER,
-                                 seed=seed * 1000 + i)
-        n = g.num_nodes
-        feats = rng.standard_normal((n, FEATURE_DIM))
-        order = rng.permutation(n)
-        n_train = int(round(TRAIN_FRAC * n))
-        n_val = int(round(VAL_FRAC * n))
-        items.append({
-            "graph": g,
-            "features": feats,
-            "labels": g.node_labels,
-            "train": order[:n_train],
-            "val": order[n_train:n_train + n_val],
-            "test": order[n_train + n_val:],
-        })
-    return items
+    graphs = [community_pair_graph(NODES_PER_BLOCK, P_INTRA, Q_INTER,
+                                   seed=seed * 1000 + i)
+              for i in range(cfg.num_graphs)]
+    n = 2 * NODES_PER_BLOCK
+    x = np.empty((cfg.num_graphs, n, FEATURE_DIM))
+    rank = np.empty((cfg.num_graphs, n), dtype=np.intp)  # place in a shuffle
+    for b in range(cfg.num_graphs):
+        x[b] = rng.standard_normal((n, FEATURE_DIM))
+        rank[b, rng.permutation(n)] = np.arange(n)
+    n_train = int(round(TRAIN_FRAC * n))
+    n_val = int(round(VAL_FRAC * n))
+    masks = {"train": rank < n_train,
+             "val": (rank >= n_train) & (rank < n_train + n_val),
+             "test": rank >= n_train + n_val}
+    labels = np.stack([g.node_labels for g in graphs])
+    return graphs, x, labels, masks
 
 
 def _cross_entropy_masked(logits: np.ndarray, labels: np.ndarray,
@@ -111,13 +114,9 @@ def _cross_entropy_masked(logits: np.ndarray, labels: np.ndarray,
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
     count = int(mask.sum())
-    picked = np.take_along_axis(logp, labels[..., None], axis=-1)[..., 0]
-    loss = -(picked * mask).sum() / count
-    d = np.exp(logp)
-    np.put_along_axis(d, labels[..., None],
-                      np.take_along_axis(d, labels[..., None], axis=-1) - 1.0,
-                      axis=-1)
-    return loss, d * mask[..., None] / count
+    onehot = np.eye(logits.shape[-1])[labels]
+    loss = -((logp * onehot).sum(axis=-1) * mask).sum() / count
+    return loss, (np.exp(logp) - onehot) * mask[..., None] / count
 
 
 def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoResult:
@@ -125,13 +124,10 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     if encoding not in ENCODINGS:
         raise ValueError(f"unknown encoding {encoding!r}")
     cfg = cfg or DemoConfig()
-    data = make_dataset(cfg, seed)
-    x = np.stack([item["features"] for item in data])
-    labels = np.stack([item["labels"] for item in data])
+    graphs, x, labels, masks = make_dataset(cfg, seed)
     codes = None
     if encoding != "none":
-        codes = np.stack([_distance_codes(item["graph"], encoding, seed)
-                          for item in data])
+        codes = np.stack([_distance_codes(g, encoding, seed) for g in graphs])
 
     # codes take no draws from rng, so parameters depend only on the seed
     rng = np.random.default_rng(seed + 7)
@@ -148,14 +144,6 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     b_c = np.zeros(n_classes)
     layer = BiasedAttentionLayer(attn, bias)
     params = [arr for _, arr in layer.parameters()] + [w_c, b_c]
-
-    batch, n = labels.shape
-    masks = {}
-    for split in ("train", "val", "test"):
-        m = np.zeros((batch, n), dtype=bool)
-        for b, item in enumerate(data):
-            m[b, item[split]] = True
-        masks[split] = m
 
     def accuracy(cls: np.ndarray, split: str) -> float:
         pred = cls.argmax(axis=-1)

@@ -331,7 +331,7 @@ def finite_difference_check(layer, x, codes, w, x_ctx=None, h=1e-5):
     grads = layer.backward(w)
     worst = 0.0
     for name, arr in layer.parameters():
-        ga = getattr(grads, name)
+        ga = grads[name]
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
@@ -353,15 +353,35 @@ class TestBackward:
         bias = init_bias_params(levels, clip, 3, 3, 2, rng)
         return BiasedAttentionLayer(attn, bias)
 
-    def test_zero_upstream_gradient(self):
+    @pytest.mark.parametrize("batch", [None, 3])
+    @pytest.mark.parametrize("bias", ["codes", "uncoded", "unbiased"])
+    def test_zero_upstream_gradient(self, bias, batch):
+        # gradients are keyed and shaped like parameters(), whether or not
+        # the layer has bias parameters and forward used them
         rng = np.random.default_rng(14)
         layer = self.make_layer(rng)
-        x = rng.standard_normal((4, 5))
-        codes = rng.integers(0, 7, (4, 4, 2))
-        layer.forward(x, codes)
-        g = layer.backward(np.zeros((4, 6)))
-        for name, _ in layer.parameters():
-            assert np.all(getattr(g, name) == 0.0)
+        if bias == "unbiased":
+            layer.bias = None
+        lead = () if batch is None else (batch,)
+        x = rng.standard_normal(lead + (4, 5))
+        codes = rng.integers(0, 7, lead + (4, 4, 2))
+        layer.forward(x, codes if bias == "codes" else None)
+        g = layer.backward(np.zeros(lead + (4, 6)))
+        named = layer.parameters()
+        assert list(g) == [name for name, _ in named]
+        for name, arr in named:
+            assert g[name].shape == arr.shape
+            assert np.all(g[name] == 0.0)
+
+    def test_apply_gradients_after_forward_without_codes(self):
+        rng = np.random.default_rng(28)
+        layer = BiasedAttentionLayer(init_attention_params(5, 2, 3, rng),
+                                     init_bias_params(2, 5, 3, 3, 2, rng))
+        before = {name: arr.copy() for name, arr in layer.parameters()}
+        out = layer.forward(rng.standard_normal((4, 5)))
+        layer.apply_gradients(layer.backward(np.ones_like(out)), 0.1)
+        for name in ("embeddings", "w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(layer.bias, name), before[name])
 
     def test_backward_before_forward(self):
         rng = np.random.default_rng(15)
@@ -391,7 +411,7 @@ class TestBackward:
         x = np.array([[1.0, 2.0], [3.0, 5.0]])
         layer.forward(x)
         g = layer.backward(np.ones((2, 2)))
-        np.testing.assert_allclose(g.w_v[0], np.array([[4.0, 4.0], [7.0, 7.0]]))
+        np.testing.assert_allclose(g["w_v"][0], np.array([[4.0, 4.0], [7.0, 7.0]]))
 
     def test_finite_differences_dense(self):
         rng = np.random.default_rng(16)
@@ -468,11 +488,11 @@ class TestBatchedLayer:
             layer.forward(x[b], codes[b])
             g = layer.backward(d_out[b])
             for name, _ in layer.parameters():
-                ref[name] = ref.get(name, 0) + getattr(g, name)
+                ref[name] = ref.get(name, 0) + g[name]
         layer.forward(x, codes)
         g = layer.backward(d_out)
         for name, _ in layer.parameters():
-            np.testing.assert_allclose(getattr(g, name), ref[name],
+            np.testing.assert_allclose(g[name], ref[name],
                                        atol=1e-10)
 
     def test_finite_differences_batch(self):
@@ -560,7 +580,5 @@ class TestEmptyGraph:
         assert out.shape == lead + (0, 6)
         g = layer.backward(np.empty(lead + (0, 6)))
         for name, arr in layer.parameters():
-            grad = getattr(g, name)
-            assert np.all(grad == 0.0)
-            if with_codes or name.startswith("w_"):
-                assert grad.shape == arr.shape
+            assert np.all(g[name] == 0.0)
+            assert g[name].shape == arr.shape

@@ -1,22 +1,25 @@
 import numpy as np
 import pytest
 
-from hdse.demo import (NODES_PER_BLOCK, TRAIN_FRAC, DemoConfig, make_dataset,
-                       metrics_to_csv, train_demo, run_all_encodings)
+from hdse.demo import (FEATURE_DIM, NODES_PER_BLOCK, TRAIN_FRAC, DemoConfig,
+                       make_dataset, metrics_to_csv, train_demo,
+                       run_all_encodings)
 
 QUICK = DemoConfig(num_graphs=4, epochs=20, eval_every=5)
 
 
 def test_dataset_shapes_and_split():
     cfg = DemoConfig(num_graphs=3)
-    data = make_dataset(cfg, seed=0)
-    assert len(data) == 3
-    for item in data:
-        n = item["graph"].num_nodes
-        assert n == 2 * NODES_PER_BLOCK
-        parts = np.concatenate([item["train"], item["val"], item["test"]])
-        assert sorted(parts.tolist()) == list(range(n))
-        assert len(item["train"]) == round(TRAIN_FRAC * n)
+    graphs, x, labels, masks = make_dataset(cfg, seed=0)
+    n = 2 * NODES_PER_BLOCK
+    assert [g.num_nodes for g in graphs] == [n] * 3
+    assert x.shape == (3, n, FEATURE_DIM)
+    assert np.array_equal(labels, [g.node_labels for g in graphs])
+    # every node is in exactly one split
+    splits = np.stack([masks["train"], masks["val"], masks["test"]])
+    assert splits.shape == (3, 3, n) and splits.dtype == bool
+    assert np.all(splits.sum(axis=0) == 1)
+    assert np.all(masks["train"].sum(axis=1) == round(TRAIN_FRAC * n))
 
 
 def test_train_demo_runs_and_bounds():
@@ -39,9 +42,8 @@ def test_shuffled_labels_near_chance():
     cfg = DemoConfig(num_graphs=10, epochs=60, eval_every=10)
     data = make_dataset(cfg, seed=1)
     rng = np.random.default_rng(0)
-    accs = []
-    for item in data:
-        rng.shuffle(item["labels"])
+    for labels in data[2]:  # each graph's row of the labels array
+        rng.shuffle(labels)
     # train on the shuffled copy via the public entry point but with the
     # labels replaced: rebuild through a tiny wrapper
     import hdse.demo as demo_mod
