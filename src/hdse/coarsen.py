@@ -115,12 +115,20 @@ def _rounds(g: Graph, step) -> Partition:
 def _louvain_one_level(n: int, edges: np.ndarray, weights: np.ndarray,
                        self_w: np.ndarray, m2: float,
                        rng: np.random.Generator) -> np.ndarray:
-    """One node-move phase on a weighted graph; returns community per node."""
+    """One node-move phase on a weighted graph; returns community per node.
+
+    ``links[v]``, the weight from v to each neighbouring community, is built
+    once and updated as nodes move: when v leaves cv for c, each neighbour's
+    cv entry loses v's edge weight (and goes at 0) and its c entry gains it.
+    This is exact: ``_rounds`` passes sums of unit weights, so every sum is
+    an integer-valued float, the same in any order.
+    """
     adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
     for (u, v), w in zip(edges.tolist(), weights.tolist()):
         adj[u].append((v, w))
         adj[v].append((u, w))
-    deg = [sum(w for _, w in a) + s for a, s in zip(adj, self_w.tolist())]
+    links = [dict(a) for a in adj]
+    deg = [sum(a.values()) + s for a, s in zip(links, self_w.tolist())]
     comm = list(range(n))
     comm_tot = list(deg)
 
@@ -132,25 +140,27 @@ def _louvain_one_level(n: int, edges: np.ndarray, weights: np.ndarray,
         for v in order.tolist():
             cv = comm[v]
             k_v = deg[v]
-            # weight from v to each neighboring community
-            links: dict[int, float] = {}
-            for u, w in adj[v]:
-                cu = comm[u]
-                links[cu] = links.get(cu, 0.0) + w
+            links_v = links[v]  # weight from v to each neighboring community
             comm_tot[cv] -= k_v
-            base = links.get(cv, 0.0) - comm_tot[cv] * k_v / m2
+            base = links_v.get(cv, 0.0) - comm_tot[cv] * k_v / m2
             # ascending scan keeps the smallest community on gain ties
             best_c, best_gain = cv, 0.0
-            for c in sorted(links):
+            for c in sorted(links_v):
                 if c == cv:
                     continue
-                gain = links[c] - comm_tot[c] * k_v / m2 - base
+                gain = links_v[c] - comm_tot[c] * k_v / m2 - base
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
             comm_tot[best_c] += k_v
             if best_c != cv:
                 comm[v] = best_c
                 improved = True
+                for u, w in adj[v]:
+                    links_u = links[u]
+                    left = links_u.pop(cv) - w
+                    if left:
+                        links_u[cv] = left
+                    links_u[best_c] = links_u.get(best_c, 0.0) + w
     return np.array(comm)
 
 

@@ -85,12 +85,14 @@ def ghd(h: Hierarchy, k: int) -> np.ndarray:
     """Level-k hierarchy distance between all pairs of base nodes (int32).
 
     Level 0 is the plain shortest-path distance; level k>0 is the level-k
-    shortest-path distance between the nodes' cluster images.
+    shortest-path distance between the nodes' cluster images. Past
+    ``MAX_PAIRS`` base node pairs it raises MemoryError before allocating.
     """
     if not 0 <= k <= h.max_level:
         raise GraphValidationError(f"level {k} out of range [0, {h.max_level}]")
     img = h.image(k)
-    return spd_all_pairs(h.levels[k])[np.ix_(img, img)]
+    check_pairs("ghd", len(img) * len(img))
+    return spd_all_pairs(h.levels[k])[img][:, img]
 
 
 @dataclass(frozen=True)
@@ -168,8 +170,10 @@ def _level_codes(g: Graph, clip: int) -> np.ndarray:
 def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
     """Codes from base nodes to level-``base`` nodes at levels base..K.
 
-    Past ``MAX_PAIRS`` (base node, column) pairs it raises MemoryError
-    before allocating.
+    Each slice gathers the level's codes row first, then column: two 1-D
+    gathers, faster than one 2-D ``np.ix_``. Slice 0's columns are the
+    level's own nodes in order, so it needs no column gather. Past
+    ``MAX_PAIRS`` (base node, column) pairs it raises MemoryError first.
     """
     rows = h.image(base)
     cols = np.arange(h.levels[base].num_nodes)
@@ -180,7 +184,8 @@ def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
         if m:
             assign = h.maps[level - 1].assign
             rows, cols = assign[rows], assign[cols]
-        entries[:, :, m] = _level_codes(h.levels[level], clip)[np.ix_(rows, cols)]
+        codes = _level_codes(h.levels[level], clip)[rows]
+        entries[:, :, m] = codes[:, cols] if m else codes
     return HdseTensor(entries, clip)
 
 

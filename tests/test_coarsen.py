@@ -467,6 +467,126 @@ class TestAgainstOracles:
         np.testing.assert_array_equal(louvain(g, seed).assign, want.assign)
 
 
+def summing_louvain_one_level(n, edges, weights, self_w, m2, rng):
+    """The former ``_louvain_one_level``: each visit sums the weight from
+    the node to each neighbouring community afresh over its adjacency."""
+    adj = [[] for _ in range(n)]
+    for (u, v), w in zip(edges.tolist(), weights.tolist()):
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    deg = [sum(w for _, w in a) + s for a, s in zip(adj, self_w.tolist())]
+    comm = list(range(n))
+    comm_tot = list(deg)
+
+    order = np.arange(n)
+    rng.shuffle(order)
+    improved = True
+    while improved:
+        improved = False
+        for v in order.tolist():
+            cv = comm[v]
+            k_v = deg[v]
+            links = {}
+            for u, w in adj[v]:
+                cu = comm[u]
+                links[cu] = links.get(cu, 0.0) + w
+            comm_tot[cv] -= k_v
+            base = links.get(cv, 0.0) - comm_tot[cv] * k_v / m2
+            best_c, best_gain = cv, 0.0
+            for c in sorted(links):
+                if c == cv:
+                    continue
+                gain = links[c] - comm_tot[c] * k_v / m2 - base
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            comm_tot[best_c] += k_v
+            if best_c != cv:
+                comm[v] = best_c
+                improved = True
+    return np.array(comm)
+
+
+@st.composite
+def louvain_graphs(draw):
+    """Edgeless graphs (the empty one included), uniform random graphs of
+    1-3 edges per node, or a few random blocks with sparse edges between
+    them, some disconnected, plus isolated nodes; node ids are shuffled."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["edgeless", "uniform", "blocks"]))
+    if kind == "edgeless":
+        return make_graph(draw(st.integers(0, 6)), [])
+    if kind == "uniform":
+        n = draw(st.integers(2, 80))
+        e = rng.integers(0, n, size=(draw(st.integers(1, 3)) * n, 2))
+        return make_graph(n, e[e[:, 0] != e[:, 1]])
+    n, edges = 0, []
+    for _ in range(draw(st.integers(1, 4))):
+        k = draw(st.integers(1, 25))
+        p = draw(st.sampled_from([0.1, 0.3, 0.6]))
+        edges += [(n + i, n + j) for i in range(k)
+                  for j in range(i + 1, k) if rng.random() < p]
+        n += k
+    q = draw(st.sampled_from([0.0, 0.01, 0.03]))
+    edges += [(i, j) for i in range(n) for j in range(i + 1, n)
+              if rng.random() < q]
+    n += draw(st.integers(0, 3))
+    sigma = rng.permutation(n)
+    return make_graph(n, sigma[np.array(edges, dtype=np.int64).reshape(-1, 2)])
+
+
+def assert_louvain_matches_summing_oracle(g, levels, seed):
+    got = build_hierarchy(g, "louvain", levels, seed=seed)
+    with mock.patch.object(coarsen, "_louvain_one_level",
+                           summing_louvain_one_level):
+        want = build_hierarchy(g, "louvain", levels, seed=seed)
+    assert len(got.maps) == len(want.maps) == levels
+    for a, b in zip(got.maps, want.maps):
+        assert a.num_clusters == b.num_clusters
+        np.testing.assert_array_equal(a.assign, b.assign)
+
+
+class TestIncrementalLinks:
+    """``_louvain_one_level`` updates each node's community weights as nodes
+    move instead of summing them afresh on every visit."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(louvain_graphs(), st.integers(0, 2 ** 16))
+    def test_hierarchies_match_summing_oracle(self, g, seed):
+        for levels in (1, 2, 3):
+            assert_louvain_matches_summing_oracle(g, levels, seed)
+
+    # in these, a node is left with no edge into its own community while a
+    # community it no longer touches keeps a smaller total: an emptied
+    # entry kept at 0 would then win the scan
+    @pytest.mark.parametrize("n, m, graph_seed, seed",
+                             [(20, 40, 4, 3), (40, 40, 9, 0), (400, 800, 4, 0)])
+    def test_uniform_random_graphs(self, n, m, graph_seed, seed):
+        e = np.random.default_rng(graph_seed).integers(0, n, size=(m, 2))
+        g = make_graph(n, e[e[:, 0] != e[:, 1]])
+        assert_louvain_matches_summing_oracle(g, 3, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(louvain_graphs(), st.integers(0, 2 ** 16))
+    def test_round_weights_stay_integer_valued(self, g, seed):
+        # the updates are exact only while every edge and self weight that
+        # _quotient and _rounds pass on is an integer-valued float
+        rounds, level = [], coarsen._louvain_one_level
+
+        def recording(n, edges, weights, self_w, m2, rng):
+            rounds.append((weights, self_w))
+            return level(n, edges, weights, self_w, m2, rng)
+
+        with mock.patch.object(coarsen, "_louvain_one_level", recording):
+            louvain(g, seed)
+        assert len(rounds) >= (g.num_edges > 0)
+        for weights, self_w in rounds:
+            for w in (weights, self_w):
+                np.testing.assert_array_equal(w, np.round(w))
+                assert np.all(w >= 0)
+            # every round still carries each edge of g once
+            assert weights.sum() + self_w.sum() / 2 == g.num_edges
+
+
 @st.composite
 def small_graphs(draw):
     """Graphs of at most 20 nodes, edgeless, sparse and mostly disconnected,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,19 @@ class TestGhd:
         with pytest.raises(GraphValidationError):
             ghd(h, 2)
 
+    def test_pair_limit_counts_base_pairs(self, monkeypatch):
+        # level 1 has 2 nodes, whose 4 pairs fit under any limit here; the
+        # result has 64, one per pair of base nodes
+        h = build_hierarchy(two_cliques_bridge(4), "louvain", 1, seed=0)
+        assert h.levels[1].num_nodes == 2
+        monkeypatch.setattr(graph, "MAX_PAIRS", 64)
+        for k in (0, 1):
+            assert ghd(h, k).shape == (8, 8)
+        monkeypatch.setattr(graph, "MAX_PAIRS", 63)
+        for k in (0, 1):
+            with pytest.raises(MemoryError, match="ghd needs 64 pairs"):
+                ghd(h, k)
+
 
 class TestHdseTensor:
     def test_zero_levels_equals_clipped_spd(self):
@@ -480,25 +495,48 @@ def assert_encoders_match_oracles(h):
             t = high_level_hdse(h, c, clip=clip)
             assert t.clip == clip
             assert_same_bytes(t.entries, oracle_high_level_hdse(h, c, clip))
+    for k in range(h.max_level + 1):
+        img = h.image(k)
+        assert_same_bytes(ghd(h, k),
+                          spd_all_pairs(h.levels[k])[np.ix_(img, img)])
 
 
 class TestEncodersMatchOracles:
-    """hdse and high_level_hdse are byte-identical to the per-level stacks."""
+    """hdse, high_level_hdse and ghd, which gather each level row first,
+    then column, are byte-identical to the per-level ``np.ix_`` stacks."""
 
     @pytest.mark.parametrize("algo", ["louvain", "hem", "newman"])
-    @pytest.mark.parametrize("n", [0, 1])
+    @pytest.mark.parametrize("n", [0, 1, 2])
     def test_tiny_graphs(self, algo, n):
+        # empty levels, and levels that collapse to one node and repeat
         for levels in range(4):
-            assert_encoders_match_oracles(
-                build_hierarchy(make_graph(n, []), algo, levels))
+            assert_encoders_match_oracles(build_hierarchy(
+                make_graph(n, [(0, 1)] if n == 2 else []), algo, levels))
 
-    @given(st.integers(2, 24), st.sampled_from([0.1, 0.25, 0.5]),
+    @given(st.integers(2, 24), st.sampled_from([0.03, 0.1, 0.25, 0.5]),
            st.integers(0, 10_000), st.sampled_from(["louvain", "hem", "newman"]),
            st.integers(0, 3))
     @settings(max_examples=60, deadline=None)
     def test_random_hierarchies(self, n, p, seed, algo, levels):
         h = build_hierarchy(random_graph(n, p, seed), algo, levels, seed=seed)
         assert_encoders_match_oracles(h)
+
+
+def test_hdse_peak_is_at_most_9_bytes_per_pair():
+    # the (n, n, 3) uint8 result plus level 0's int32 distances and one
+    # uint8 temporary; 8.55 B per pair measured
+    n, rng = 1000, np.random.default_rng(0)
+    e = rng.integers(0, n, size=(3 * n, 2))
+    h = build_hierarchy(make_graph(n, e[e[:, 0] != e[:, 1]]), "louvain", 2)
+    assert 1 < h.levels[2].num_nodes < h.levels[1].num_nodes < n
+    tracemalloc.start()
+    try:
+        t = hdse(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.entries.shape == (n, n, 3)
+    assert peak <= 9 * n * n
 
 
 class TestTensorFile:
