@@ -120,6 +120,8 @@ def bias_matrix(codes: np.ndarray, p: BiasParams):
     if codes.ndim != 3 or codes.shape[2] != p.levels:
         raise ValueError(f"expected (rows, cols, {p.levels}) codes, "
                          f"got {codes.shape}")
+    if codes.dtype.kind not in "iu":  # a float or bool code cannot index
+        raise ValueError(f"distance codes must be integers, got {codes.dtype}")
     if codes.size and (codes.min() < 0 or codes.max() > p.clip + 1):
         raise ValueError(f"distance code outside [0, {p.clip + 1}]")
     rows, cols, levels = codes.shape

@@ -1,8 +1,9 @@
 """Command-line front-end: coarsen, encode, gdwl, demo, named-graph.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict, 2 I/O or
-parse error, 3 invalid configuration. Diagnostics go to stderr; payloads to
-files or stdout.
+parse error, 3 invalid configuration. Commands raise: ``_load`` owns exit 2
+for input files and ``main`` the rest of the mapping. Diagnostics go to
+stderr; payloads to files or stdout.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ EXIT_CONFIG = 3
 
 
 def _load(path: str, parse):
-    """``parse`` applied to the bytes of ``path``; a parse error exits 2."""
+    """``parse`` applied to the bytes of ``path``; any error in the file exits 2."""
     try:
         data = Path(path).read_bytes()
     except OSError as e:
@@ -59,11 +60,8 @@ def _write_output(payload, out_path: str | None, binary: bool = False) -> None:
 
 def cmd_coarsen(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        h = coarsen.build_hierarchy(g, args.algo, args.levels,
-                                    ratio=args.ratio, seed=args.seed)
-    except graph.GraphValidationError as e:
-        raise SystemExitError(EXIT_CONFIG, str(e))
+    h = coarsen.build_hierarchy(g, args.algo, args.levels,
+                                ratio=args.ratio, seed=args.seed)
     _write_output(coarsen.hierarchy_to_json(h) + "\n", args.output)
     for k, lvl in enumerate(h.levels):
         ratio = "" if k == 0 else f" ratio={h.coarsening_ratios[k - 1]:.4f}"
@@ -74,11 +72,8 @@ def cmd_coarsen(args) -> int:
 
 def cmd_encode(args) -> int:
     h = _load(args.hierarchy, coarsen.hierarchy_from_json)
-    try:
-        t = (distance.high_level_hdse(h, args.base_level, clip=args.clip)
-             if args.base_level else distance.hdse(h, clip=args.clip))
-    except graph.GraphValidationError as e:
-        raise SystemExitError(EXIT_CONFIG, str(e))
+    t = (distance.high_level_hdse(h, args.base_level, clip=args.clip)
+         if args.base_level else distance.hdse(h, clip=args.clip))
     entries, clip = t.entries, t.clip
     if args.format == "json":
         _write_output(distance.tensor_to_json(entries, clip) + "\n", args.output)
@@ -104,20 +99,15 @@ def cmd_gdwl(args) -> int:
     g1 = _load_graph(args.graph1)
     g2 = _load_graph(args.graph2)
     enc = _make_encoding(args)
-    # both graphs are loaded and valid: what refinement rejects is the
-    # encoding's configuration (levels, clip)
-    try:
-        cm1, cm2 = refine.refine_pair(g1, g2, enc)
-        distinguished = cm1.histogram() != cm2.histogram()
-        stable = None
-        if distinguished and args.enc == "hdse":
-            # stability across coarsening seeds: args.seed's verdict is the
-            # one just computed, and an algorithm ignoring the seed repeats it
-            stable = 1 + (2 if args.algo not in coarsen.SEEDED else sum(
-                refine.distinguishes(g1, g2, replace(enc, seed=s))
-                for s in range(args.seed + 1, args.seed + 3)))
-    except graph.GraphValidationError as e:
-        raise SystemExitError(EXIT_CONFIG, str(e))
+    cm1, cm2 = refine.refine_pair(g1, g2, enc)
+    distinguished = cm1.histogram() != cm2.histogram()
+    stable = None
+    if distinguished and args.enc == "hdse":
+        # stability across coarsening seeds: args.seed's verdict is the one
+        # just computed, and an algorithm ignoring the seed repeats it
+        stable = 1 + (2 if args.algo not in coarsen.SEEDED else sum(
+            refine.distinguishes(g1, g2, replace(enc, seed=s))
+            for s in range(args.seed + 1, args.seed + 3)))
     verdict = {
         "distinguished": distinguished,
         "iterations": len(cm1.colors) - 1,
@@ -133,11 +123,8 @@ def cmd_gdwl(args) -> int:
 
 def cmd_demo(args) -> int:
     seeds = range(args.seed, args.seed + args.seeds)
-    try:
-        results, means = demo.run_all_encodings(
-            seeds, demo.DemoConfig(epochs=args.epochs, lr=args.lr))
-    except ValueError as e:
-        raise SystemExitError(EXIT_CONFIG, str(e))
+    results, means = demo.run_all_encodings(
+        seeds, demo.DemoConfig(epochs=args.epochs, lr=args.lr))
     _write_output(demo.metrics_to_csv(results, means), args.output)
     for enc, runs in results.items():
         for r in runs:
@@ -151,10 +138,7 @@ def cmd_demo(args) -> int:
 
 
 def cmd_named_graph(args) -> int:
-    try:
-        g = refine.make_named_graph(args.name)
-    except graph.GraphValidationError as e:
-        raise SystemExitError(EXIT_CONFIG, str(e))
+    g = refine.make_named_graph(args.name)
     _write_output(graph.write_edge_list(g), args.output)
     return EXIT_OK
 
@@ -228,7 +212,11 @@ def main(argv=None) -> int:
     except SystemExitError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (graph.GraphParseError, graph.GraphValidationError) as e:
+    except graph.GraphValidationError as e:
+        # _load maps an input file's errors to 2, so this is a setting's
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
+    except graph.GraphParseError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as e:

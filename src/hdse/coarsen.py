@@ -27,8 +27,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, GraphParseError, GraphValidationError,
-                    NodePermutation, check_pairs, graph_from_json_dict,
-                    make_graph, parse_json, permute)
+                    NodePermutation, _is_int, _json_array, check_pairs,
+                    graph_from_json_dict, make_graph, parse_json, permute)
 
 
 @dataclass(frozen=True)
@@ -458,10 +458,6 @@ def hierarchy_to_json(h: Hierarchy) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def hierarchy_from_json(data) -> Hierarchy:
     """Parse ``hierarchy_to_json`` output.
 
@@ -483,11 +479,10 @@ def hierarchy_from_json(data) -> Hierarchy:
     g = graph_from_json_dict(obj["graph"])
     maps, n = [], g.num_nodes
     for k, a in enumerate(obj["maps"]):
-        if not (isinstance(a, list) and len(a) == n
-                and all(_is_int(i) and 0 <= i < n for i in a)):
+        a = _json_array(a, "iu")
+        if a is None or a.shape != (n,) or not np.all((a >= 0) & (a < n)):
             raise GraphParseError(f"map {k} must list one cluster id in "
                                   f"[0, {n}) per node of level {k}")
-        maps.append(Partition(np.asarray(a, dtype=np.int64),
-                              max(a, default=-1) + 1))
+        maps.append(Partition(a, int(a.max(initial=-1)) + 1))
         n = maps[-1].num_clusters
     return Hierarchy(g, maps, algo=obj["algo"], seed=obj["seed"])

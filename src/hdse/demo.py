@@ -22,7 +22,7 @@ from .attention import (BiasedAttentionLayer, init_attention_params,
                         init_bias_params)
 from .coarsen import build_hierarchy
 from .distance import hdse
-from .graph import Graph
+from .graph import Graph, GraphValidationError
 from .refine import community_pair_graph
 
 ENCODINGS = ("none", "spd", "hdse")
@@ -55,9 +55,9 @@ class DemoConfig:
     def __post_init__(self):
         # 0 epochs leave nothing to restore; an inf or NaN lr gives NaN weights
         if self.epochs < 1 or not 0 < self.lr < np.inf:
-            raise ValueError("need epochs >= 1 and a positive, finite lr")
+            raise GraphValidationError("need epochs >= 1 and a positive, finite lr")
         if self.num_graphs < 1 or self.eval_every < 1:
-            raise ValueError("need num_graphs >= 1 and eval_every >= 1")
+            raise GraphValidationError("need num_graphs >= 1 and eval_every >= 1")
 
 
 @dataclass
@@ -122,7 +122,7 @@ def _cross_entropy_masked(logits: np.ndarray, labels: np.ndarray,
 def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoResult:
     """Train one model with the given encoding; deterministic per seed."""
     if encoding not in ENCODINGS:
-        raise ValueError(f"unknown encoding {encoding!r}")
+        raise GraphValidationError(f"unknown encoding {encoding!r}")
     cfg = cfg or DemoConfig()
     graphs, x, labels, masks = make_dataset(cfg, seed)
     codes = None
@@ -178,7 +178,7 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
 def run_all_encodings(seeds, cfg: DemoConfig | None = None):
     """Per-encoding results for every seed, plus mean test accuracies."""
     if not seeds or min(seeds) < 0:
-        raise ValueError("need at least one seed, and every seed >= 0")
+        raise GraphValidationError("need at least one seed, and every seed >= 0")
     cfg = cfg or DemoConfig()
     results = {enc: [train_demo(enc, s, cfg) for s in seeds]
                for enc in ENCODINGS}

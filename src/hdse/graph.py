@@ -14,7 +14,9 @@ class GraphParseError(ValueError):
 
 
 class GraphValidationError(ValueError):
-    """Raised when a graph violates a structural invariant."""
+    """Raised when a graph violates a structural invariant, or when a
+    setting is out of range (a clip, ratio, level count, seed, target or
+    demo hyperparameter)."""
 
 
 @dataclass(frozen=True)
@@ -268,6 +270,10 @@ def load_json_graph(data) -> Graph:
     return graph_from_json_dict(parse_json(data))
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _json_array(value, kinds: str) -> np.ndarray | None:
     """A JSON list as a rectangular ndarray whose dtype kind is in ``kinds``.
 
@@ -305,7 +311,7 @@ def graph_from_json_dict(obj) -> Graph:
     if not isinstance(obj, dict) or "num_nodes" not in obj or "edges" not in obj:
         raise GraphParseError("JSON graph needs 'num_nodes' and 'edges'")
     n = obj["num_nodes"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise GraphParseError(
             f"'num_nodes' must be a non-negative integer, got {n!r}")
     edges = _json_array(obj["edges"], "iu")

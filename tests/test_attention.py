@@ -130,6 +130,15 @@ class TestBiasMatrix:
         with pytest.raises(ValueError):
             bias_matrix(np.full((2, 2, 1), 7), p)
 
+    @pytest.mark.parametrize("code", [1.5, 1.0, True])
+    def test_non_integer_codes(self, code):
+        # in range, so only the dtype check stands between them and the
+        # embedding gather
+        rng = np.random.default_rng(2)
+        p = init_bias_params(1, 5, 4, 4, 2, rng)
+        with pytest.raises(ValueError, match="must be integers"):
+            bias_matrix(np.full((2, 2, 1), code), p)
+
 
 def _distinct_codes(levels, clip, limit=400):
     """(1, n, levels) codes whose n tuples are all different."""

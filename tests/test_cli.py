@@ -556,6 +556,16 @@ class TestDemo:
                 r"test=\d\.\d{3} best_epoch=[01]", line), line
         assert lines[3].startswith("verdict: hdse ")
 
+    def test_extreme_valid_lr_exit_0(self, capsys):
+        # a valid setting runs to the end: no command turns an error raised
+        # inside the run into exit 3, so a stray one would fail here
+        capsys.readouterr()
+        assert main(["demo", "--seeds", "1", "--epochs", "2",
+                     "--lr", "1e308"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("encoding,seed0,mean\n")
+        assert err.splitlines()[-1].startswith("verdict: hdse ")
+
     def test_invalid_hyperparameters_exit_3(self, capsys):
         for flags in (["--epochs", "0"], ["--seeds", "0"], ["--seed", "-1"],
                       ["--lr", "0"], ["--lr", "inf"], ["--lr", "nan"]):
