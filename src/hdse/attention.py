@@ -10,11 +10,11 @@ that share it. A linear (cluster-projected) variant attends from base nodes to
 coarse clusters using the node-to-cluster distance tensor.
 
 ``BiasedAttentionLayer`` takes one graph, ``x`` of shape (n, d), or a batch of
-B equal-size graphs, ``x`` of shape (B, n, d) with ``codes`` and ``x_ctx``
-carrying the same leading B axis. A batch runs the bias MLP once over the
-distinct code tuples of all its graphs and the attention kernel once per
-graph; its gradients are the sums of the per-graph gradients. A graph of no
-nodes gives an empty output and zero gradients.
+B equal-size graphs, (B, n, d), with ``codes`` and ``x_ctx`` carrying the same
+leading axis. A batch runs the bias MLP once over the distinct code tuples of
+all its graphs and the attention kernel once, with Q, K and V from one fused
+projection; gradients are sums over the graphs. An empty graph or batch gives
+an empty output and zero gradients.
 
 Everything is plain numpy in float64; backward passes are written by hand and
 checked against central finite differences in the test suite.
@@ -22,6 +22,7 @@ checked against central finite differences in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -146,15 +147,16 @@ def bias_matrix(codes: np.ndarray, p: BiasParams):
 def bias_backward(d_bias: np.ndarray, cache: dict):
     """Gradients of the bias function; returns (d_embeddings, d_w1, d_b1, d_w2, d_b2).
 
-    ``d_bias`` is (rows, cols, heads); it is read one head plane at a time,
-    so a transposed view of a head-major array is read without a copy.
+    ``d_bias`` is (rows, cols, heads), or (..., heads) with the pairs in the
+    order bias_matrix saw them. It is read one head plane at a time, so a
+    transposed view of a head-major (rows, cols) array is read without a copy.
     """
     p: BiasParams = cache["params"]
     tuples, inverse, cat, pre, hid = (cache["tuples"], cache["inverse"],
                                       cache["cat"], cache["pre"], cache["hid"])
     levels, _, embed_dim = p.embeddings.shape
     # every pair adds its bias gradient to the table row of its tuple
-    d_planes = d_bias.transpose(2, 0, 1).reshape(p.heads, len(inverse))
+    d_planes = np.moveaxis(d_bias, -1, 0).reshape(p.heads, len(inverse))
     d_table = np.empty((len(tuples), p.heads))
     for h in range(p.heads):
         d_table[:, h] = np.bincount(inverse, weights=d_planes[h],
@@ -173,70 +175,86 @@ def bias_backward(d_bias: np.ndarray, cache: dict):
 # ---------------------------------------------------------------------------
 # Attention
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, in place: overwrites and returns ``logits``."""
-    # initial=-inf lets a graph of no nodes (rows of no entries) pass through
-    logits -= logits.max(axis=-1, keepdims=True, initial=-np.inf)
-    np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
-    return logits
+def _split_heads(y, b: int, rows: int, parts: int, p: AttentionParams):
+    """(b * rows, parts * heads * head_dim) -> (parts, b, heads, rows, head_dim)."""
+    return y.reshape(b, rows, parts, p.heads, p.head_dim).transpose(2, 0, 3, 1, 4)
 
 
 def attention_forward(x: np.ndarray, params: AttentionParams,
                       bias: np.ndarray | None = None,
                       x_ctx: np.ndarray | None = None):
-    """Biased (multi-head) attention.
+    """Biased (multi-head) attention over one graph, ``x`` (n, model_dim).
 
-    ``x`` is (n, model_dim). ``x_ctx`` supplies the key/value side; when None
-    this is self-attention. ``bias`` is (n, m, heads) or None for no bias.
-    Returns (out, cache) with out of shape (n, heads * head_dim).
+    ``x_ctx`` (m, model_dim) supplies the key/value side; when None this is
+    self-attention. ``bias`` is (n, m, heads) or None for no bias. Returns
+    (out, cache), out (n, heads * head_dim): the batch-of-one ``_attention``.
+    """
+    out, cache = _attention(x[None], params,
+                            None if bias is None else bias[None],
+                            None if x_ctx is None else x_ctx[None])
+    return out[0], cache
+
+
+def _attention(x: np.ndarray, params: AttentionParams,
+               bias: np.ndarray | None = None,
+               x_ctx: np.ndarray | None = None):
+    """attention_forward over B graphs at once: ``x`` (B, n, model_dim),
+    ``x_ctx`` (B, m, model_dim) and ``bias`` (B, n, m, heads).
+
+    Q, K and V come from one GEMM over all B * n rows (the linear variant: Q
+    from ``x``, K and V from ``x_ctx``). Activations are (B, heads, rows,
+    head_dim), so a head-major bias adds to the logits as a view.
     """
     if not all(np.isfinite(a).all() for a in (x, x_ctx) if a is not None):
         raise ValueError("non-finite input features")
+    b, n, d = x.shape
     ctx = x if x_ctx is None else x_ctx
-    q = x @ params.w_q                    # (heads, n, head_dim)
-    k = ctx @ params.w_k
-    v = ctx @ params.w_v
-    scale = 1.0 / np.sqrt(params.head_dim)
-    logits = q @ k.transpose(0, 2, 1)
-    logits *= scale
+    if ctx.ndim != 3 or len(ctx) != b:
+        raise ValueError(f"x_ctx of shape {ctx.shape} does not match x")
+    m, width = ctx.shape[1], params.heads * params.head_dim
+    w = np.stack((params.w_q, params.w_k, params.w_v)).transpose(
+        2, 0, 1, 3).reshape(d, 3 * width)  # column (part, head, j)
+    if x_ctx is None:
+        q, k, v = _split_heads(x.reshape(b * n, d) @ w, b, n, 3, params)
+    else:
+        (q,) = _split_heads(x.reshape(b * n, d) @ w[:, :width], b, n, 1, params)
+        k, v = _split_heads(ctx.reshape(b * m, d) @ w[:, width:], b, m, 2, params)
+    attn = q @ k.transpose(0, 1, 3, 2)  # the logits, until the softmax
+    attn *= 1.0 / np.sqrt(params.head_dim)
     if bias is not None:
-        if bias.shape != (x.shape[0], ctx.shape[0], params.heads):
-            raise ValueError(f"bias shape {bias.shape} incompatible with "
-                             f"({x.shape[0]}, {ctx.shape[0]}, {params.heads})")
-        logits += bias.transpose(2, 0, 1)
-    attn = _softmax_rows(logits)
-    out = (attn @ v).transpose(1, 0, 2).reshape(
-        x.shape[0], params.heads * params.head_dim)
-    cache = {"x": x, "ctx": ctx, "q": q, "k": k, "v": v, "attn": attn,
-             "scale": scale, "params": params}
-    return out, cache
+        if bias.shape != (b, n, m, params.heads):
+            raise ValueError(f"bias shape {bias.shape[1:]} incompatible with "
+                             f"({n}, {m}, {params.heads})")
+        attn += np.moveaxis(bias, -1, 1)
+    # softmax in place; initial=-inf lets rows of no entries pass through
+    attn -= attn.max(axis=-1, keepdims=True, initial=-np.inf)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, width)
+    return out, dict(x=x, ctx=ctx, q=q, k=k, v=v, attn=attn, params=params)
 
 
 def attention_backward(d_out: np.ndarray, cache: dict):
-    """Backward pass of attention_forward.
+    """Backward pass of ``_attention`` for ``d_out`` (B, n, heads * head_dim).
 
-    Returns (d_wq, d_wk, d_wv, d_logits). ``d_logits``, the gradient of the
-    pre-softmax logits and so of an additive bias, is head-major: shape
-    (heads, n, m).
+    Returns (d_wq, d_wk, d_wv, d_logits): weight gradients summed over the
+    batch, and the head-major (B, heads, n, m) gradient of the pre-softmax
+    logits, and so of an additive bias.
     """
     params: AttentionParams = cache["params"]
-    x, ctx, q, k, v, attn, scale = (cache["x"], cache["ctx"], cache["q"],
-                                    cache["k"], cache["v"], cache["attn"],
-                                    cache["scale"])
-    n = x.shape[0]
-    d_heads = d_out.reshape(n, params.heads, params.head_dim).transpose(1, 0, 2)
-    d_attn = d_heads @ v.transpose(0, 2, 1)
-    d_v = attn.transpose(0, 2, 1) @ d_heads
-    # softmax backward per row
-    inner = (d_attn * attn).sum(axis=-1, keepdims=True)
-    d_logits = attn * (d_attn - inner)
+    x, ctx, q, k, v, attn = (cache[key] for key in "x ctx q k v attn".split())
+    b, _, n, _ = q.shape
+    scale = 1.0 / np.sqrt(params.head_dim)
+    (d_heads,) = _split_heads(d_out, b, n, 1, params)
+    d_v = attn.transpose(0, 1, 3, 2) @ d_heads
+    d_logits = d_heads @ v.transpose(0, 1, 3, 2)  # d_attn, then in place:
+    d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
+    d_logits *= attn
     d_q = (d_logits @ k) * scale
-    d_k = (d_logits.transpose(0, 2, 1) @ q) * scale
-    d_wq = x.T @ d_q
-    d_wk = ctx.T @ d_k
-    d_wv = ctx.T @ d_v
-    return d_wq, d_wk, d_wv, d_logits
+    d_k = (d_logits.transpose(0, 1, 3, 2) @ q) * scale
+    # tensordot: one (d, B * rows) @ (B * rows, heads * head_dim) GEMM each
+    return tuple(np.tensordot(a, g, axes=([0, 1], [0, 2])).transpose(1, 0, 2)
+                 for a, g in ((x, d_q), (ctx, d_k), (ctx, d_v))) + (d_logits,)
 
 
 # ---------------------------------------------------------------------------
@@ -262,54 +280,33 @@ class BiasedAttentionLayer:
                 x_ctx: np.ndarray | None = None) -> np.ndarray:
         self._cache = None  # free the last call's activations before this one
         batched = x.ndim == 3
-        xs = x if batched else x[None]
-        ctxs = [None] * len(xs)
-        if x_ctx is not None:
-            ctxs = x_ctx if batched else x_ctx[None]
-            if ctxs.ndim != 3 or len(ctxs) != len(xs):
-                raise ValueError(f"x_ctx of shape {x_ctx.shape} does not "
-                                 f"match x of shape {x.shape}")
-        biases, bias_cache = [None] * len(xs), None
+        bias, bias_cache = None, None
         if codes is not None:
             if self.bias is None:
                 raise ValueError("layer has no bias parameters")
             codes = np.asarray(codes)
-            stacked = codes if batched else codes[None]
-            if stacked.ndim != 4 or len(stacked) != len(xs):
+            if codes.ndim != x.ndim + 1 or codes.shape[:-3] != x.shape[:-2]:
                 raise ValueError(f"codes of shape {codes.shape} do not match "
                                  f"x of shape {x.shape}")
-            b, n, m, levels = stacked.shape
             # the MLP acts on each pair alone, so one call covers the batch
-            flat, bias_cache = bias_matrix(stacked.reshape(b * n, m, levels),
-                                           self.bias)
-            biases = flat.reshape(b, n, m, self.bias.heads)
-        outs, attn_caches = [], []
-        for xi, bi, ci in zip(xs, biases, ctxs):
-            out, cache = attention_forward(xi, self.attn, bi, ci)
-            outs.append(out)
-            attn_caches.append(cache)
-        self._cache = (attn_caches, bias_cache, batched)
-        return np.stack(outs) if batched else outs[0]
+            bias, bias_cache = bias_matrix(codes.reshape(
+                math.prod(codes.shape[:-2]), *codes.shape[-2:]), self.bias)
+            bias = bias.reshape(codes.shape[:-1] + (self.bias.heads,))
+        # a batch skips attention_forward, whose perfbench hook reads 2-D x
+        kernel = _attention if batched else attention_forward
+        out, cache = kernel(x, self.attn, bias, x_ctx)
+        self._cache = (cache, bias_cache)
+        return out
 
     def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients keyed by parameter name, each shaped like the parameter
         of that name in ``parameters()``."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
-        attn_caches, bias_cache, batched = self._cache
-        d_outs = d_out if batched else d_out[None]
-        # without a bias, drop each graph's d_logits at once: holding all of
-        # them slows the unbiased backward pass by about 15%
-        keep = 3 if bias_cache is None else 4
-        per_graph = [attention_backward(d, c)[:keep]
-                     for d, c in zip(d_outs, attn_caches)]
-        grads = [sum(g[j] for g in per_graph) for j in range(3)]
-        if bias_cache is not None:
-            # (heads, b, n, m): head-major, like the bias, so nothing transposes
-            d_bias = np.stack([g[3] for g in per_graph], axis=1)
-            heads, b, n, m = d_bias.shape
-            grads += bias_backward(
-                d_bias.reshape(heads, b * n, m).transpose(1, 2, 0), bias_cache)
+        cache, bias_cache = self._cache
+        *grads, d_logits = attention_backward(d_out, cache)
+        if bias_cache is not None:  # (B, n, m, heads) view of d_logits
+            grads += bias_backward(np.moveaxis(d_logits, 1, -1), bias_cache)
         named = self.parameters()
         # zeros for the bias parameters when forward ran without codes
         grads += [np.zeros_like(arr) for _, arr in named[len(grads):]]

@@ -153,9 +153,12 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     metrics = []
     best = (-1.0, 0, None)  # (val_acc, epoch, parameter copies)
     for epoch in range(cfg.epochs):
-        out = layer.forward(x, codes)
-        cls = out @ w_c + b_c
-        loss, d_cls = _cross_entropy_masked(cls, labels, masks["train"])
+        with np.errstate(over="ignore", invalid="ignore"):  # a diverging lr
+            out = layer.forward(x, codes)
+            cls = out @ w_c + b_c
+            loss, d_cls = _cross_entropy_masked(cls, labels, masks["train"])
+        if not np.isfinite(loss):  # stop before this epoch is evaluated
+            break
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
             val = accuracy(cls, "val")
             metrics.append((epoch, float(loss), accuracy(cls, "train"),

@@ -5,6 +5,7 @@ import resource
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -560,11 +561,20 @@ class TestDemo:
         # a valid setting runs to the end: no command turns an error raised
         # inside the run into exit 3, so a stray one would fail here
         capsys.readouterr()
-        assert main(["demo", "--seeds", "1", "--epochs", "2",
-                     "--lr", "1e308"]) == 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["demo", "--seeds", "1", "--epochs", "2",
+                         "--lr", "1e308"]) == 0
         out, err = capsys.readouterr()
         assert out.startswith("encoding,seed0,mean\n")
         assert err.splitlines()[-1].startswith("verdict: hdse ")
+        # the first update overflows the weights: training stops at the next
+        # epoch's non-finite loss, with no numpy warning, and keeps epoch 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "RuntimeWarning" not in err
+        best = [line.split("best_epoch=")[1] for line in err.splitlines()
+                if "best_epoch=" in line]
+        assert best == ["0", "0", "0"]
 
     def test_invalid_hyperparameters_exit_3(self, capsys):
         for flags in (["--epochs", "0"], ["--seeds", "0"], ["--seed", "-1"],
