@@ -12,7 +12,8 @@ from .refine import (HdseEncoding, SpdEncoding, distinguishes, gd_wl_refine,
                      make_named_graph, refine_pair)
 from .attention import (AttentionParams, BiasParams, BiasedAttentionLayer,
                         attention_forward, attention_backward, bias_matrix,
-                        bias_backward, init_attention_params, init_bias_params)
+                        bias_backward, code_keys, init_attention_params,
+                        init_bias_params)
 from .demo import DemoConfig, DemoResult, run_all_encodings, train_demo
 
 __version__ = "0.1.0"

@@ -105,32 +105,57 @@ def init_attention_params(model_dim: int, heads: int, head_dim: int,
 # ---------------------------------------------------------------------------
 # Bias function
 
-def bias_matrix(codes: np.ndarray, p: BiasParams):
-    """Per-head bias from integer distance codes, shape (rows, cols, heads).
+def code_keys(codes: np.ndarray,
+              p: BiasParams) -> tuple[np.ndarray, np.ndarray]:
+    """Check distance codes against ``p`` and number their distinct tuples.
 
-    ``codes`` is a (rows, cols, levels) array of clipped distance codes in
-    [0, clip + 1]. A pair's bias depends only on its tuple of codes, so the
-    embedding and MLP run once per distinct tuple, giving a (tuples, heads)
-    table that is gathered onto the pairs. Tuples are numbered by
-    ``tuple_keys``, which needs no sort while the codes span few values. The
-    bias is stored head-major: it is the transposed view of a contiguous
-    (heads, rows, cols) array, so each head's plane is contiguous. Returns
-    (bias, cache) where cache feeds bias_backward.
+    ``codes`` is a (..., levels) array of clipped distance codes in
+    [0, clip + 1]; its pairs are taken in C order. Returns (tuples,
+    inverse): the distinct code tuples, (count, levels), in lexicographic
+    order, and the tuple id of each pair. Tuples are numbered by
+    ``tuple_keys``, which needs no sort while the codes span few values.
+    A caller whose codes do not change computes this once and passes it
+    to every ``bias_matrix`` call.
     """
     codes = np.asarray(codes)
-    if codes.ndim != 3 or codes.shape[2] != p.levels:
-        raise ValueError(f"expected (rows, cols, {p.levels}) codes, "
+    if codes.ndim < 1 or codes.shape[-1] != p.levels:
+        raise ValueError(f"expected (..., {p.levels}) codes, "
                          f"got {codes.shape}")
     if codes.dtype.kind not in "iu":  # a float or bool code cannot index
         raise ValueError(f"distance codes must be integers, got {codes.dtype}")
     if codes.size and (codes.min() < 0 or codes.max() > p.clip + 1):
         raise ValueError(f"distance code outside [0, {p.clip + 1}]")
-    rows, cols, levels = codes.shape
-    flat = codes.reshape(rows * cols, levels)
+    flat = codes.reshape(-1, p.levels)
     inverse, count = tuple_keys(flat)
     pair = np.empty(count, dtype=np.intp)
     pair[inverse] = np.arange(len(inverse))  # any one pair of each tuple
-    tuples = flat[pair]
+    return flat[pair], inverse
+
+
+def bias_matrix(codes: np.ndarray, p: BiasParams,
+                keys: tuple[np.ndarray, np.ndarray] | None = None):
+    """Per-head bias from integer distance codes, shape (rows, cols, heads).
+
+    ``codes`` is a (rows, cols, levels) array of clipped distance codes in
+    [0, clip + 1]. A pair's bias depends only on its tuple of codes, so the
+    embedding and MLP run once per distinct tuple, giving a (tuples, heads)
+    table that is gathered onto the pairs. ``keys`` is ``code_keys(codes,
+    p)``; when None it is computed here. The bias is stored head-major: it
+    is the transposed view of a contiguous (heads, rows, cols) array, so
+    each head's plane is contiguous. Returns (bias, cache) where cache
+    feeds bias_backward.
+    """
+    codes = np.asarray(codes)
+    if codes.ndim != 3 or codes.shape[2] != p.levels:
+        raise ValueError(f"expected (rows, cols, {p.levels}) codes, "
+                         f"got {codes.shape}")
+    tuples, inverse = code_keys(codes, p) if keys is None else keys
+    rows, cols, levels = codes.shape
+    if len(inverse) != rows * cols or tuples.shape[1:] != (p.levels,):
+        raise ValueError(f"keys of {len(inverse)} pairs and tuple shape "
+                         f"{tuples.shape} do not fit codes of shape "
+                         f"{codes.shape}")
+    count = len(tuples)
     # (tuples, levels, embed_dim) -> concat levels
     cat = p.embeddings[np.arange(levels), tuples].reshape(
         count, levels * p.embeddings.shape[2])
@@ -268,7 +293,8 @@ class BiasedAttentionLayer:
     node-to-cluster variant (codes then indexed node x cluster). An ``x`` of
     shape (B, n, d) is a batch of B graphs: ``codes`` is then
     (B, n, m, levels), ``x_ctx`` is (B, m, d), and the output is
-    (B, n, heads * head_dim).
+    (B, n, heads * head_dim). ``keys``, if given, is ``code_keys(codes,
+    bias)``.
     """
 
     def __init__(self, attn: AttentionParams, bias: BiasParams | None = None):
@@ -277,7 +303,9 @@ class BiasedAttentionLayer:
         self._cache = None
 
     def forward(self, x: np.ndarray, codes: np.ndarray | None = None,
-                x_ctx: np.ndarray | None = None) -> np.ndarray:
+                x_ctx: np.ndarray | None = None,
+                keys: tuple[np.ndarray, np.ndarray] | None = None
+                ) -> np.ndarray:
         self._cache = None  # free the last call's activations before this one
         batched = x.ndim == 3
         bias, bias_cache = None, None
@@ -289,8 +317,9 @@ class BiasedAttentionLayer:
                 raise ValueError(f"codes of shape {codes.shape} do not match "
                                  f"x of shape {x.shape}")
             # the MLP acts on each pair alone, so one call covers the batch
-            bias, bias_cache = bias_matrix(codes.reshape(
-                math.prod(codes.shape[:-2]), *codes.shape[-2:]), self.bias)
+            bias, bias_cache = bias_matrix(
+                codes.reshape(math.prod(codes.shape[:-2]), *codes.shape[-2:]),
+                self.bias, keys)
             bias = bias.reshape(codes.shape[:-1] + (self.bias.heads,))
         # a batch skips attention_forward, whose perfbench hook reads 2-D x
         kernel = _attention if batched else attention_forward

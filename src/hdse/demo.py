@@ -8,7 +8,9 @@ community structure exposed through the attention bias.
 
 Every graph in the dataset has the same node count, so each epoch passes the
 whole dataset as one (graphs, nodes, features) batch through
-``attention.BiasedAttentionLayer``; this module adds only the linear
+``attention.BiasedAttentionLayer``. The distance codes do not change
+between epochs, so they are numbered once per run (``attention.code_keys``)
+and the keys passed to every forward pass. This module adds only the linear
 classifier, the masked cross-entropy and the training loop.
 """
 
@@ -18,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attention import (BiasedAttentionLayer, init_attention_params,
-                        init_bias_params)
+from .attention import (BiasedAttentionLayer, code_keys,
+                        init_attention_params, init_bias_params)
 from .coarsen import build_hierarchy
 from .distance import hdse
 from .graph import Graph, GraphValidationError
@@ -107,14 +109,15 @@ def make_dataset(cfg: DemoConfig, seed: int):
     return graphs, x, labels, masks
 
 
-def _cross_entropy_masked(logits: np.ndarray, labels: np.ndarray,
-                          mask: np.ndarray):
-    """Mean CE over masked positions; returns (loss, d_logits)."""
+def _cross_entropy_masked(logits: np.ndarray, onehot: np.ndarray,
+                          mask: np.ndarray, count: int):
+    """Mean CE over the ``count`` masked positions; returns (loss, d_logits).
+
+    ``onehot`` holds the labels one-hot along the last axis of ``logits``.
+    """
     shifted = logits - logits.max(axis=-1, keepdims=True)
     logz = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     logp = shifted - logz
-    count = int(mask.sum())
-    onehot = np.eye(logits.shape[-1])[labels]
     loss = -((logp * onehot).sum(axis=-1) * mask).sum() / count
     return loss, (np.exp(logp) - onehot) * mask[..., None] / count
 
@@ -125,7 +128,7 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
         raise GraphValidationError(f"unknown encoding {encoding!r}")
     cfg = cfg or DemoConfig()
     graphs, x, labels, masks = make_dataset(cfg, seed)
-    codes = None
+    codes = keys = None
     if encoding != "none":
         codes = np.stack([_distance_codes(g, encoding, seed) for g in graphs])
 
@@ -138,12 +141,15 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     if codes is not None:
         bias = init_bias_params(codes.shape[-1], CLIP, EMBED_DIM, HIDDEN_DIM,
                                 HEADS, rng)
+        keys = code_keys(codes, bias)  # the codes are the same every epoch
     out_dim = HEADS * HEAD_DIM
     n_classes = 2
     w_c = rng.uniform(-1, 1, (out_dim, n_classes)) / np.sqrt(out_dim)
     b_c = np.zeros(n_classes)
     layer = BiasedAttentionLayer(attn, bias)
     params = [arr for _, arr in layer.parameters()] + [w_c, b_c]
+    onehot = np.eye(n_classes)[labels]
+    n_train = int(masks["train"].sum())
 
     def accuracy(cls: np.ndarray, split: str) -> float:
         pred = cls.argmax(axis=-1)
@@ -154,9 +160,10 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     best = (-1.0, 0, None)  # (val_acc, epoch, parameter copies)
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging lr
-            out = layer.forward(x, codes)
+            out = layer.forward(x, codes, keys=keys)
             cls = out @ w_c + b_c
-            loss, d_cls = _cross_entropy_masked(cls, labels, masks["train"])
+            loss, d_cls = _cross_entropy_masked(cls, onehot, masks["train"],
+                                                n_train)
         if not np.isfinite(loss):  # stop before this epoch is evaluated
             break
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs - 1:
@@ -166,14 +173,15 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
             if val > best[0]:
                 best = (val, epoch, [arr.copy() for arr in params])
         layer.apply_gradients(layer.backward(d_cls @ w_c.T), cfg.lr)
-        w_c -= cfg.lr * np.einsum("bno,bnc->oc", out, d_cls)
+        w_c -= cfg.lr * (out.reshape(-1, out_dim).T
+                         @ d_cls.reshape(-1, n_classes))
         b_c -= cfg.lr * d_cls.sum(axis=(0, 1))
 
     # restore the best-validation parameters and report its test accuracy
     val_acc, best_epoch, saved = best
     for arr, copy in zip(params, saved):
         arr[...] = copy
-    cls = layer.forward(x, codes) @ w_c + b_c
+    cls = layer.forward(x, codes, keys=keys) @ w_c + b_c
     return DemoResult(encoding, seed, accuracy(cls, "train"), val_acc,
                       accuracy(cls, "test"), best_epoch, metrics)
 

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from hdse import distance
 from hdse.attention import (AttentionParams, BiasParams, BiasedAttentionLayer,
                             _attention, attention_backward, attention_forward,
-                            bias_backward, bias_matrix, init_attention_params,
-                            init_bias_params)
+                            bias_backward, bias_matrix, code_keys,
+                            init_attention_params, init_bias_params)
 from hdse.coarsen import build_hierarchy
 from hdse.distance import hdse, high_level_hdse
 from hdse.graph import make_graph
@@ -180,6 +180,67 @@ class TestBiasMatrix:
         p = init_bias_params(1, 5, 4, 4, 2, rng)
         with pytest.raises(ValueError, match="must be integers"):
             bias_matrix(np.full((2, 2, 1), code), p)
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 2), (1, 2, 2, 1)])
+    def test_wrong_code_shape(self, shape):
+        rng = np.random.default_rng(2)
+        p = init_bias_params(1, 5, 4, 4, 2, rng)
+        with pytest.raises(ValueError, match="expected"):
+            bias_matrix(np.zeros(shape, dtype=np.uint8), p)
+
+
+class TestCodeKeys:
+    """Keys numbered once and passed in give what bias_matrix numbers itself.
+
+    The codes have the demo batch's shape, 20 graphs of 30 nodes, keyed as
+    the batch and fed to bias_matrix as the layer reshapes them.
+    """
+
+    def demo_codes(self, levels, seed):
+        rng = np.random.default_rng(seed)
+        p = init_bias_params(levels, 30, 16, 16, 4, rng)
+        codes = rng.integers(0, 6, (20, 30, 30, levels)).astype(np.uint8)
+        codes[0, 0, 1:3] = 31  # unreachable pairs
+        return p, codes, rng
+
+    @pytest.mark.parametrize("levels", [1, 2])
+    def test_keys_give_same_bias_and_gradients(self, levels):
+        p, codes, rng = self.demo_codes(levels, 40 + levels)
+        pairs = codes.reshape(600, 30, levels)
+        bias, cache = bias_matrix(pairs, p)
+        keyed, keyed_cache = bias_matrix(pairs, p, code_keys(codes, p))
+        assert np.array_equal(keyed, bias)
+        assert keyed_cache.keys() == cache.keys()
+        for name in ("tuples", "inverse", "cat", "pre", "hid"):
+            assert np.array_equal(keyed_cache[name], cache[name]), name
+            assert keyed_cache[name].dtype == cache[name].dtype, name
+        d_bias = rng.standard_normal(bias.shape)
+        for g, w in zip(bias_backward(d_bias, keyed_cache),
+                        bias_backward(d_bias, cache)):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("codes", [np.full((2, 2, 1), 7),
+                                       np.full((2, 2, 1), -1),
+                                       np.full((2, 2, 1), 1.0),
+                                       np.zeros((2, 2, 2), dtype=np.uint8),
+                                       np.zeros((), dtype=np.uint8)])
+    def test_invalid_codes_rejected(self, codes):
+        # the same checks bias_matrix makes when it numbers the codes itself
+        p = init_bias_params(1, 5, 4, 4, 2, np.random.default_rng(2))
+        with pytest.raises(ValueError):
+            code_keys(codes, p)
+
+    def test_keys_of_wrong_pair_count_rejected(self):
+        p, codes, _ = self.demo_codes(2, 43)
+        keys = code_keys(codes[:-1], p)
+        with pytest.raises(ValueError, match="do not fit"):
+            bias_matrix(codes.reshape(600, 30, 2), p, keys)
+
+    def test_keys_of_wrong_level_count_rejected(self):
+        p1, codes1, _ = self.demo_codes(1, 44)
+        p2, codes2, _ = self.demo_codes(2, 45)
+        with pytest.raises(ValueError, match="do not fit"):
+            bias_matrix(codes1.reshape(600, 30, 1), p1, code_keys(codes2, p2))
 
 
 def _distinct_codes(levels, clip, limit=400):
@@ -556,6 +617,21 @@ class TestBatchedLayer:
         codes = rng.integers(0, 7, (2, 4, m, 2))
         w = rng.standard_normal((2, 4, 6))
         assert finite_difference_check(layer, x, codes, w, x_ctx=xk) < 1e-4
+
+    def test_keys_passed_through(self):
+        rng = np.random.default_rng(24)
+        layer = self.make_layer(rng)
+        x = rng.standard_normal((3, 4, 5))
+        codes = rng.integers(0, 7, (3, 4, 4, 2))
+        d_out = rng.standard_normal((3, 4, 6))
+        out = layer.forward(x, codes)
+        grads = layer.backward(d_out)
+        keyed = layer.forward(x, codes, keys=code_keys(codes, layer.bias))
+        assert np.array_equal(keyed, out)
+        for name, g in layer.backward(d_out).items():
+            assert np.array_equal(g, grads[name]), name
+        with pytest.raises(ValueError, match="do not fit"):
+            layer.forward(x, codes, keys=code_keys(codes[:2], layer.bias))
 
     def test_batch_mismatch(self):
         rng = np.random.default_rng(23)

@@ -91,3 +91,40 @@ def test_invalid_seeds_rejected_before_training(seeds, monkeypatch):
     monkeypatch.setattr(demo_mod, "train_demo", None)  # never reached
     with pytest.raises(ValueError, match="at least one seed"):
         run_all_encodings(seeds, QUICK)
+
+
+@pytest.mark.parametrize("encoding,keyed", [("none", 0), ("spd", 1),
+                                            ("hdse", 1)])
+def test_codes_keyed_once_per_run(encoding, keyed, monkeypatch):
+    # the codes are numbered once, but bias_matrix still sees every forward
+    import hdse.attention as attention_mod
+    import hdse.demo as demo_mod
+    calls = {"code_keys": 0, "bias_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    keys = counted("code_keys", attention_mod.code_keys)
+    monkeypatch.setattr(attention_mod, "code_keys", keys)
+    monkeypatch.setattr(demo_mod, "code_keys", keys)
+    monkeypatch.setattr(attention_mod, "bias_matrix",
+                        counted("bias_matrix", attention_mod.bias_matrix))
+    cfg = DemoConfig(num_graphs=2, epochs=5, eval_every=2)
+    train_demo(encoding, 0, cfg)
+    assert calls == {"code_keys": keyed,
+                     "bias_matrix": keyed * (cfg.epochs + 1)}
+
+
+def test_seed0_results_pinned():
+    # the benchmark's train item; a rounding change in the training loop
+    # that moves an accuracy or the best epoch fails here
+    cfg = DemoConfig(epochs=40)
+    want = {"none": (53 / 120, 56 / 120, 20),
+            "spd": (61 / 120, 52 / 120, 0),
+            "hdse": (56 / 120, 66 / 120, 0)}
+    for encoding, pinned in want.items():
+        r = train_demo(encoding, 0, cfg)
+        assert (r.test_accuracy, r.val_accuracy, r.best_epoch) == pinned
