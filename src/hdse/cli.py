@@ -1,9 +1,9 @@
 """Command-line front-end: coarsen, encode, gdwl, demo, named-graph.
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict, 2 I/O or
-parse error, 3 invalid configuration. Commands raise: ``_load`` owns exit 2
-for input files and ``main`` the rest of the mapping. Diagnostics go to
-stderr; payloads to files or stdout.
+parse error, 3 invalid configuration, 130 interrupted (Ctrl-C). Commands
+raise: ``_load`` owns exit 2 for input files and ``main`` the rest of the
+mapping. Diagnostics go to stderr; payloads to files or stdout.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_IO = 2
 EXIT_CONFIG = 3
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
 def _load(path: str, parse):
@@ -225,6 +226,9 @@ def main(argv=None) -> int:
         print(f"error: input too large: {e or 'out of memory'}",
               file=sys.stderr)
         return EXIT_IO
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

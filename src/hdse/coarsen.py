@@ -251,7 +251,6 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     a = np.zeros((n, n))
     a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
     d, bet = _brandes(a, edges)
-    alive = np.ones(len(edges), dtype=bool)
     best, best_q = None, -np.inf
     while True:
         # each node is labeled by the smallest node it reaches
@@ -283,9 +282,10 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
             drop = np.argmax(bet >= bet.max() * (1.0 - 1e-9))
             x, y = edges[drop]
             a[x, y] = a[y, x] = 0.0
-            alive[drop], bet[drop] = False, -np.inf
+            bet[drop] = -np.inf
             comp = d[x] >= 0  # the component losing the edge
-            idx, mine = np.flatnonzero(comp), alive & comp[edges[:, 0]]
+            idx = np.flatnonzero(comp)
+            mine = (bet != -np.inf) & comp[edges[:, 0]]  # its edges left
             d[idx[:, None], idx], bet[mine] = _brandes(
                 a[idx[:, None], idx], (np.cumsum(comp) - 1)[edges[mine]])
             split = d[x, y] < 0

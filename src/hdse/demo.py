@@ -55,7 +55,7 @@ class DemoConfig:
     eval_every: int = 10
 
     def __post_init__(self):
-        # 0 epochs leave nothing to restore; an inf or NaN lr gives NaN weights
+        # 0 epochs leave no epoch to report; an inf or NaN lr gives NaN weights
         if self.epochs < 1 or not 0 < self.lr < np.inf:
             raise GraphValidationError("need epochs >= 1 and a positive, finite lr")
         if self.num_graphs < 1 or self.eval_every < 1:
@@ -74,10 +74,8 @@ class DemoResult:
     metrics: list[tuple[int, float, float, float]] = field(default_factory=list)
 
 
-def _distance_codes(g: Graph, encoding: str, seed: int) -> np.ndarray | None:
+def _distance_codes(g: Graph, encoding: str, seed: int) -> np.ndarray:
     """(n, n, levels) uint8 codes; SPD is HDSE over a zero-level hierarchy."""
-    if encoding == "none":
-        return None
     levels = 0 if encoding == "spd" else LEVELS
     h = build_hierarchy(g, ALGO, levels, seed=seed)
     return hdse(h, clip=CLIP).entries
@@ -128,17 +126,14 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
         raise GraphValidationError(f"unknown encoding {encoding!r}")
     cfg = cfg or DemoConfig()
     graphs, x, labels, masks = make_dataset(cfg, seed)
-    codes = keys = None
-    if encoding != "none":
-        codes = np.stack([_distance_codes(g, encoding, seed) for g in graphs])
-
-    # codes take no draws from rng, so parameters depend only on the seed
     rng = np.random.default_rng(seed + 7)
     attn = init_attention_params(FEATURE_DIM, HEADS, HEAD_DIM, rng)
     attn.w_q *= QK_SCALE
     attn.w_k *= QK_SCALE
-    bias = None
-    if codes is not None:
+    codes = keys = bias = None
+    if encoding != "none":
+        # the codes take no draws from rng: Louvain seeds its own generator
+        codes = np.stack([_distance_codes(g, encoding, seed) for g in graphs])
         bias = init_bias_params(codes.shape[-1], CLIP, EMBED_DIM, HIDDEN_DIM,
                                 HEADS, rng)
         keys = code_keys(codes, bias)  # the codes are the same every epoch
@@ -147,7 +142,6 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
     w_c = rng.uniform(-1, 1, (out_dim, n_classes)) / np.sqrt(out_dim)
     b_c = np.zeros(n_classes)
     layer = BiasedAttentionLayer(attn, bias)
-    params = [arr for _, arr in layer.parameters()] + [w_c, b_c]
     onehot = np.eye(n_classes)[labels]
     n_train = int(masks["train"].sum())
 
@@ -157,7 +151,7 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
         return float(((pred == labels) & m).sum() / m.sum())
 
     metrics = []
-    best = (-1.0, 0, None)  # (val_acc, epoch, parameter copies)
+    best_val, best = -1.0, None  # epoch 0 is always evaluated and recorded
     for epoch in range(cfg.epochs):
         with np.errstate(over="ignore", invalid="ignore"):  # a diverging lr
             out = layer.forward(x, codes, keys=keys)
@@ -170,20 +164,16 @@ def train_demo(encoding: str, seed: int, cfg: DemoConfig | None = None) -> DemoR
             val = accuracy(cls, "val")
             metrics.append((epoch, float(loss), accuracy(cls, "train"),
                             accuracy(cls, "test")))
-            if val > best[0]:
-                best = (val, epoch, [arr.copy() for arr in params])
+            if val > best_val:
+                best_val, best = val, metrics[-1]
         layer.apply_gradients(layer.backward(d_cls @ w_c.T), cfg.lr)
         w_c -= cfg.lr * (out.reshape(-1, out_dim).T
                          @ d_cls.reshape(-1, n_classes))
         b_c -= cfg.lr * d_cls.sum(axis=(0, 1))
 
-    # restore the best-validation parameters and report its test accuracy
-    val_acc, best_epoch, saved = best
-    for arr, copy in zip(params, saved):
-        arr[...] = copy
-    cls = layer.forward(x, codes, keys=keys) @ w_c + b_c
-    return DemoResult(encoding, seed, accuracy(cls, "train"), val_acc,
-                      accuracy(cls, "test"), best_epoch, metrics)
+    best_epoch, _, train_acc, test_acc = best
+    return DemoResult(encoding, seed, train_acc, best_val, test_acc,
+                      best_epoch, metrics)
 
 
 def run_all_encodings(seeds, cfg: DemoConfig | None = None):

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import resource
+import signal
 import subprocess
 import sys
 import time
@@ -23,20 +24,25 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 README = SRC.parent / "README.md"
 
 
+def cli_env():
+    """The environment for a CLI subprocess that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
 def run_cli(*args, cwd, max_bytes=None):
     """Run the CLI in a fresh process, so an uncaught error shows as a traceback.
 
     ``max_bytes`` caps the process's address space: past it, an allocation
     raises MemoryError instead of filling the machine's memory.
     """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     cap = None if max_bytes is None else (lambda: resource.setrlimit(
         resource.RLIMIT_AS, (max_bytes, max_bytes)))
     return subprocess.run([sys.executable, "-m", "hdse.cli", *args], cwd=cwd,
-                          env=env, capture_output=True, text=True, timeout=120,
-                          preexec_fn=cap)
+                          env=cli_env(), capture_output=True, text=True,
+                          timeout=120, preexec_fn=cap)
 
 
 @pytest.fixture
@@ -274,6 +280,39 @@ class TestUnwritableOutput:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: cannot write missing/x.txt: ")
         assert not (tmp_path / "missing").exists()
+
+
+class TestInterrupt:
+    """Ctrl-C exits 130 with one stderr line and no traceback."""
+
+    def test_in_process(self, monkeypatch, capsys):
+        from hdse import refine
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(refine, "make_named_graph", interrupted)
+        capsys.readouterr()
+        assert main(["named-graph", "dodecahedron"]) == 130
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: interrupted\n"
+
+    def test_sigint_during_demo(self, tmp_path):
+        # 20 seeds of 300 epochs: still training when the signal arrives
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "hdse.cli", "demo", "--seeds", "20",
+             "-o", str(tmp_path / "m.csv")], cwd=tmp_path, env=cli_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            time.sleep(2.0)
+            proc.send_signal(signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert proc.returncode == 130, err
+        assert "Traceback" not in err
+        assert err == "error: interrupted\n" and out == ""
+        assert not (tmp_path / "m.csv").exists()
 
 
 class TestPairLimit:

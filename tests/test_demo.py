@@ -114,8 +114,31 @@ def test_codes_keyed_once_per_run(encoding, keyed, monkeypatch):
                         counted("bias_matrix", attention_mod.bias_matrix))
     cfg = DemoConfig(num_graphs=2, epochs=5, eval_every=2)
     train_demo(encoding, 0, cfg)
-    assert calls == {"code_keys": keyed,
-                     "bias_matrix": keyed * (cfg.epochs + 1)}
+    # one forward pass per epoch; the result is read from a metrics row
+    assert calls == {"code_keys": keyed, "bias_matrix": keyed * cfg.epochs}
+
+
+@pytest.mark.parametrize("encoding", ["none", "spd", "hdse"])
+def test_reported_epoch_is_a_metrics_row(encoding):
+    r = train_demo(encoding, 0, QUICK)
+    assert (r.best_epoch, r.train_accuracy, r.test_accuracy) in [
+        (epoch, train, test) for epoch, _, train, test in r.metrics]
+
+
+@pytest.mark.parametrize("encoding,seed", [("none", 2), ("spd", 4),
+                                           ("hdse", 2)])
+def test_reported_row_is_the_model_at_the_best_epoch(encoding, seed):
+    # a run cut off right after the best epoch ends on that epoch's model,
+    # so its last row must be the one reported
+    cfg = DemoConfig(num_graphs=4, epochs=20, eval_every=2)
+    r = train_demo(encoding, seed, cfg)
+    assert 0 < r.best_epoch < cfg.epochs - 1  # seeds where the cut is real
+    cut = train_demo(encoding, seed, DemoConfig(
+        num_graphs=cfg.num_graphs, epochs=r.best_epoch + 1,
+        eval_every=cfg.eval_every))
+    row = next(m for m in r.metrics if m[0] == r.best_epoch)
+    assert cut.metrics[-1] == row
+    assert (row[2], row[3]) == (r.train_accuracy, r.test_accuracy)
 
 
 def test_seed0_results_pinned():
