@@ -2,14 +2,16 @@
 
 Exit codes: 0 success / affirmative verdict, 1 negative verdict, 2 I/O or
 parse error, 3 invalid configuration, 130 interrupted (Ctrl-C). Commands
-raise: ``_load`` owns exit 2 for input files and ``main`` the rest of the
-mapping. Diagnostics go to stderr; payloads to files or stdout.
+raise and ``main`` alone maps error types to codes: ``GraphParseError`` (an
+input file's errors) and ``OSError`` 2, ``GraphValidationError`` 3.
+Diagnostics go to stderr; payloads to files or stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -28,11 +30,11 @@ def _load(path: str, parse):
     try:
         data = Path(path).read_bytes()
     except OSError as e:
-        raise SystemExitError(EXIT_IO, f"cannot read {path}: {e}")
+        raise OSError(f"cannot read {path}: {e}") from e
     try:
         return parse(data)
     except (graph.GraphParseError, graph.GraphValidationError) as e:
-        raise SystemExitError(EXIT_IO, f"{path}: {e}")
+        raise graph.GraphParseError(f"{path}: {e}") from e
 
 
 def _load_graph(path: str) -> graph.Graph:
@@ -40,23 +42,21 @@ def _load_graph(path: str) -> graph.Graph:
                  else graph.load_edge_list)
 
 
-class SystemExitError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
-
-
 def _write_output(payload, out_path: str | None, binary: bool = False) -> None:
-    if out_path:
-        try:
+    try:
+        if out_path:
             with open(out_path, "wb" if binary else "w") as f:
                 f.write(payload)
-        except OSError as e:
-            raise SystemExitError(EXIT_IO, f"cannot write {out_path}: {e}")
-    elif binary:
-        sys.stdout.buffer.write(payload)
-    else:
-        sys.stdout.write(payload)
+        else:
+            out = sys.stdout.buffer if binary else sys.stdout
+            out.write(payload)
+            out.flush()
+    except OSError as e:
+        if not out_path:
+            # the interpreter flushes stdout again at exit; the bytes left
+            # in its buffer go to os.devnull so that retry cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise OSError(f"cannot write {out_path or 'stdout'}: {e}") from e
 
 
 def cmd_coarsen(args) -> int:
@@ -82,7 +82,7 @@ def cmd_encode(args) -> int:
         try:
             payload = distance.write_tensor(entries, clip)
         except graph.GraphValidationError as e:
-            raise SystemExitError(EXIT_CONFIG, f"{e}; use --format json")
+            raise graph.GraphValidationError(f"{e}; use --format json") from e
         _write_output(payload, args.output, binary=True)
     print(f"tensor dims {entries.shape[0]} x {entries.shape[1]} "
           f"x {entries.shape[2]}, clip {clip}", file=sys.stderr)
@@ -203,21 +203,16 @@ def main(argv=None) -> int:
         if args.output:
             out = Path(args.output)
             if out.is_dir():
-                raise SystemExitError(
-                    EXIT_IO, f"cannot write {args.output}: is a directory")
+                raise OSError(f"cannot write {args.output}: is a directory")
             if not out.parent.is_dir():
-                raise SystemExitError(
-                    EXIT_IO, f"cannot write {args.output}: "
-                    f"no directory {out.parent}")
+                raise OSError(f"cannot write {args.output}: "
+                              f"no directory {out.parent}")
         return args.func(args)
-    except SystemExitError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return e.code
     except graph.GraphValidationError as e:
-        # _load maps an input file's errors to 2, so this is a setting's
+        # _load re-raises an input file's as GraphParseError, so a setting's
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
-    except graph.GraphParseError as e:
+    except (graph.GraphParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_IO
     except MemoryError as e:

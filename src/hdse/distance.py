@@ -157,10 +157,15 @@ def tuple_keys(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return _dense_ids(keys, bound)
 
 
+def check_clip(clip: int) -> None:
+    """Raise GraphValidationError unless 1 <= clip <= 254 (clip + 1 fits uint8)."""
+    if not 1 <= clip <= 254:
+        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
+
+
 def _level_codes(g: Graph, clip: int) -> np.ndarray:
     """One level's clipped distance codes, n x n uint8 (1 <= clip <= 254)."""
-    if clip < 1 or clip > 254:
-        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
+    check_clip(clip)
     d = spd_all_pairs(g)
     np.minimum(d, clip, out=d)  # UNREACHABLE (-1) stays below every clip
     d[d == UNREACHABLE] = clip + 1
@@ -212,12 +217,22 @@ _MAGIC = b"HDSE"
 _HEADER = struct.Struct("<4sHIIBB")  # magic, version, rows, cols, levels, clip
 
 
+def _check_codes(entries: np.ndarray, clip: int) -> None:
+    """Refuse a clip outside [1, 254] and any entry above ``clip + 1``."""
+    check_clip(clip)
+    top = int(entries.max(initial=0))
+    if top > clip + 1:
+        raise GraphValidationError(
+            f"tensor entry {top} above clip + 1 = {clip + 1}")
+
+
 def write_tensor(entries: np.ndarray, clip: int) -> bytes:
     """Serialize a (rows, cols, levels) uint8 tensor with a 16-byte header.
 
     The header stores the level count in one byte, so a tensor of more than
     255 levels raises GraphValidationError, as do entries of another dtype
-    (they would read back as uint8) and a clip outside [1, 254].
+    (they would read back as uint8), a clip outside [1, 254] and an entry
+    above ``clip + 1``, the unreachable code.
     """
     rows, cols, levels = entries.shape
     if levels > 255:
@@ -226,14 +241,13 @@ def write_tensor(entries: np.ndarray, clip: int) -> bytes:
     if entries.dtype != np.uint8:
         raise GraphValidationError(f"tensor entries must be uint8, "
                                    f"got {entries.dtype}")
-    if not 1 <= clip <= 254:
-        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
+    _check_codes(entries, clip)
     header = _HEADER.pack(_MAGIC, 1, rows, cols, levels, clip)
     return header + np.ascontiguousarray(entries).tobytes()
 
 
 def read_tensor(data: bytes) -> tuple[np.ndarray, int]:
-    """Inverse of write_tensor; returns (entries, clip)."""
+    """Inverse of write_tensor, refusing what it refuses; returns (entries, clip)."""
     if len(data) < _HEADER.size:
         raise GraphValidationError("tensor file truncated")
     magic, version, rows, cols, levels, clip = _HEADER.unpack_from(data)
@@ -244,6 +258,7 @@ def read_tensor(data: bytes) -> tuple[np.ndarray, int]:
     payload = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size)
     if len(payload) != rows * cols * levels:
         raise GraphValidationError("tensor payload size mismatch")
+    _check_codes(payload, clip)
     return payload.reshape(rows, cols, levels).copy(), clip
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coarsen import build_hierarchy
-from .distance import hdse, spd_all_pairs, tuple_keys
+from .distance import check_clip, hdse, spd_all_pairs, tuple_keys
 from .graph import Graph, GraphValidationError, make_graph
 
 
@@ -38,6 +38,9 @@ class HdseEncoding:
     algo: str = "newman"
     clip: int = 30
     seed: int = 0
+
+    def __post_init__(self):
+        check_clip(self.clip)  # before any graph is coarsened
 
 
 Encoding = SpdEncoding | HdseEncoding

@@ -281,6 +281,28 @@ class TestUnwritableOutput:
         assert proc.stderr.startswith("error: cannot write missing/x.txt: ")
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("command", ["named-graph", "encode"])
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_stdout_full_exit_2(self, command, unbuffered, p3_file, tmp_path):
+        # text and binary payloads; a block-buffered stdout keeps the
+        # unwritten bytes and flushes them again when the interpreter exits
+        args = self.args(command, p3_file, tmp_path)
+        env = cli_env()
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "hdse.cli", *args],
+                                  cwd=tmp_path, env=env, stdout=full,
+                                  stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert re.fullmatch(r"error: cannot write stdout: \[Errno 28\] .*\n",
+                            proc.stderr), proc.stderr
+
 
 class TestInterrupt:
     """Ctrl-C exits 130 with one stderr line and no traceback."""
@@ -561,6 +583,22 @@ class TestGdwl:
         assert main(["gdwl", p3_file, p3_file, "--enc", "hdse", *flags]) == 3
         out, err = capsys.readouterr()
         assert err.startswith("error: ") and out == ""
+
+    @pytest.mark.parametrize("clip", ["0", "255"])
+    def test_bad_clip_refused_before_coarsening(self, clip, dodeca_file,
+                                                monkeypatch, capsys):
+        from hdse import refine
+
+        def coarsened(*args, **kwargs):
+            raise AssertionError("build_hierarchy called")
+
+        monkeypatch.setattr(refine, "build_hierarchy", coarsened)
+        capsys.readouterr()
+        assert main(["gdwl", dodeca_file, dodeca_file, "--enc", "hdse",
+                     "-L", clip]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: clip must be in [1, 254], got {clip}\n"
 
     def test_graph_vs_its_permutation(self, tmp_path, dodeca_file):
         from hdse.graph import NodePermutation, permute, write_edge_list

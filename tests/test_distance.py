@@ -561,10 +561,11 @@ class TestTensorFile:
         try:
             back, back_clip = read_tensor(write_tensor(entries, clip))
         except GraphValidationError:
-            # refused: not a uint8 tensor, a clip outside [1, 254] or more
-            # levels than the one-byte header field holds
+            # refused: not a uint8 tensor, a clip outside [1, 254], an
+            # entry above clip + 1 or more levels than the one-byte header
+            # field holds
             assert (dtype != np.uint8 or not 1 <= clip <= 254
-                    or shape[2] > 255)
+                    or entries.max(initial=0) > clip + 1 or shape[2] > 255)
             return
         assert back_clip == clip
         assert back.dtype == entries.dtype and back.shape == entries.shape
@@ -581,3 +582,26 @@ class TestTensorFile:
         blob = write_tensor(t.entries, t.clip)
         with pytest.raises(GraphValidationError):
             read_tensor(blob[:-1])
+
+    @pytest.mark.parametrize("clip", [0, 255])
+    def test_read_refuses_header_clip(self, clip):
+        blob = distance._HEADER.pack(b"HDSE", 1, 1, 2, 1, clip) + bytes(2)
+        with pytest.raises(GraphValidationError,
+                           match=rf"clip must be in \[1, 254\], got {clip}"):
+            read_tensor(blob)
+
+    def test_read_refuses_entry_above_unreachable(self):
+        header = distance._HEADER.pack(b"HDSE", 1, 2, 2, 1, 5)
+        # 6 = clip + 1 is the unreachable code, the largest valid entry
+        entries, clip = read_tensor(header + bytes([0, 6, 5, 1]))
+        assert clip == 5 and entries.ravel().tolist() == [0, 6, 5, 1]
+        for top in (7, 200, 255):
+            with pytest.raises(GraphValidationError,
+                               match=rf"tensor entry {top} above clip \+ 1"):
+                read_tensor(header + bytes([0, 6, top, 1]))
+
+    def test_write_refuses_entry_above_unreachable(self):
+        entries = np.array([[[0], [6]], [[7], [1]]], dtype=np.uint8)
+        with pytest.raises(GraphValidationError, match="tensor entry 7"):
+            write_tensor(entries, 5)
+        assert read_tensor(write_tensor(entries, 6))[1] == 6

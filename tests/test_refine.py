@@ -135,6 +135,11 @@ class TestNamedGraphs:
 
 
 class TestRefine:
+    @pytest.mark.parametrize("clip", [0, 255])
+    def test_hdse_encoding_refuses_bad_clip(self, clip):
+        with pytest.raises(GraphValidationError, match="clip must be in"):
+            HdseEncoding(clip=clip)
+
     def test_edgeless_all_same_color(self):
         g = make_graph(3, [])
         cm = gd_wl_refine(g, SpdEncoding())
