@@ -43,13 +43,23 @@ def _load_graph(path: str) -> graph.Graph:
 
 
 def _write_output(payload, out_path: str | None, binary: bool = False) -> None:
+    """Write the payload to ``out_path``, or else to stdout in full.
+
+    Stdout gets bytes in a loop until all are written: with
+    ``PYTHONUNBUFFERED=1`` its binary layer is the raw file, whose ``write``
+    may take only part of a payload.
+    """
     try:
         if out_path:
             with open(out_path, "wb" if binary else "w") as f:
                 f.write(payload)
         else:
-            out = sys.stdout.buffer if binary else sys.stdout
-            out.write(payload)
+            sys.stdout.flush()
+            out = sys.stdout.buffer
+            data = memoryview(payload if binary
+                              else payload.encode(sys.stdout.encoding))
+            while data:
+                data = data[out.write(data) or 0:]
             out.flush()
     except OSError as e:
         if not out_path:

@@ -34,8 +34,44 @@ def _unpack(words: np.ndarray, n: int) -> np.ndarray:
                          axis=1, count=n, bitorder="little")
 
 
-def spd_all_pairs(g: Graph) -> np.ndarray:
-    """Exact all-pairs hop distances as an n x n int32 array.
+def check_clip(clip: int) -> None:
+    """Raise GraphValidationError unless 1 <= clip <= 254 (clip + 1 fits uint8)."""
+    if not 1 <= clip <= 254:
+        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
+
+
+def _component_labels(g: Graph) -> np.ndarray:
+    """Each node's smallest node id in its connected component.
+
+    Min-label propagation with pointer jumping, O(n + m) per round: every
+    node, and the node its label names, takes the smallest label among the
+    node's neighbours; then each label is chased to ``labels[labels]``'s
+    fixed point. A label always names a node of the same component and
+    never rises, and at a fixed point neighbours share a label, so each
+    component ends labelled by its smallest node.
+    """
+    labels = np.arange(g.num_nodes)
+    has_nbrs = np.diff(g.indptr) > 0
+    starts = g.indptr[:-1][has_nbrs]
+    while True:
+        low = np.minimum.reduceat(labels[g.indices], starts)
+        new = labels.copy()
+        np.minimum.at(new, labels[has_nbrs], low)
+        new[has_nbrs] = np.minimum(new[has_nbrs], low)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
+def spd_all_pairs(g: Graph, clip: int | None = None) -> np.ndarray:
+    """All-pairs hop distances: exact int32, or uint8 codes with a clip.
+
+    Without a clip the result is the n x n int32 distance, ``UNREACHABLE``
+    for a disconnected pair. With 1 <= clip <= 254 it is the n x n uint8
+    code min(clip, d), or ``clip + 1`` for a disconnected pair, and the
+    search stops after ``clip`` hops.
 
     Computed by a bit-packed multi-source BFS. ``reached[v]`` and
     ``frontier[v]`` are bitsets over sources, packed into ``ceil(n / 64)``
@@ -46,38 +82,58 @@ def spd_all_pairs(g: Graph) -> np.ndarray:
     segment's start instead of an identity); bits not yet reached are the
     nodes at the next distance. Hops are counted rather than written: each
     hop that reaches a new pair adds 1 to every pair not reached before it,
-    so a pair gains 1 per hop until it is reached and ends at its distance.
-    Pairs never reached are marked ``UNREACHABLE`` after the last hop,
-    unless node 0 is reached from every source, which leaves none. The
-    graph is undirected, so the unreached bits of source s at node v count
-    directly as row v, column s of the symmetric result.
+    so a pair gains 1 per hop until it is reached and ends at its distance,
+    or at ``clip`` if it is still unreached when the hops stop there.
+    The graph is undirected, so the unreached bits of source s at node v
+    count directly as row v, column s of the symmetric result.
 
-    Working memory besides the n x n int32 output: n x n/8-byte bitsets
-    (``reached``, ``frontier`` and a few per-hop temporaries), the gathered
-    neighbour frontiers (2m x n/8 bytes for m edges) and one unpacked
-    n x n uint8 array per hop. Past ``MAX_PAIRS`` pairs it raises
-    MemoryError before allocating.
+    Disconnected pairs are marked last, unless node 0 is reached from
+    every source, which leaves none. If the search ran out of frontier,
+    they are the pairs still unreached. If it stopped at the clip instead,
+    an unreached pair may only lie far apart, so they are the pairs whose
+    component labels (``_component_labels``) differ, marked a block of
+    rows at a time so that the comparison mask stays near 1 MiB.
+
+    Working memory besides the output: n x n/8-byte bitsets (``reached``,
+    ``frontier`` and a few per-hop temporaries), the gathered neighbour
+    frontiers (2m x n/8 bytes for m edges) and one unpacked n x n uint8
+    array per hop. Past ``MAX_PAIRS`` pairs it raises MemoryError before
+    allocating.
     """
     n = g.num_nodes
+    if clip is not None:
+        check_clip(clip)
     check_pairs("spd_all_pairs", n * n)
-    out = np.zeros((n, n), dtype=np.int32)
+    hops, dtype, fill = ((n - 1, np.int32, UNREACHABLE) if clip is None
+                         else (min(clip, n - 1), np.uint8, clip + 1))
+    out = np.zeros((n, n), dtype=dtype)
     src = np.arange(n)
     reached = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     reached[src, src >> 6] = 1 << (src & 63).astype(np.uint64)
     frontier = reached.copy()
     has_nbrs = np.diff(g.indptr) > 0
     starts = g.indptr[:-1][has_nbrs]
-    for _ in range(1, n):
+    capped = True
+    for _ in range(hops):
         nxt = np.zeros_like(frontier)
         nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts,
                                                axis=0)
         frontier = nxt & ~reached
         if not frontier.any():
+            capped = False
             break
         out += _unpack(~reached, n)
         reached |= frontier
-    if not _unpack(reached[:1], n).all():
-        out[_unpack(~reached, n).view(bool)] = UNREACHABLE
+    if _unpack(reached[:1], n).all():
+        return out
+    if not capped:
+        out[_unpack(~reached, n).view(bool)] = fill
+        return out
+    labels = _component_labels(g)
+    block = max(1, 2 ** 20 // n)
+    for i in range(0, n, block):
+        rows = out[i:i + block]
+        rows[labels[i:i + block, None] != labels] = fill
     return out
 
 
@@ -157,21 +213,6 @@ def tuple_keys(rows: np.ndarray) -> tuple[np.ndarray, int]:
     return _dense_ids(keys, bound)
 
 
-def check_clip(clip: int) -> None:
-    """Raise GraphValidationError unless 1 <= clip <= 254 (clip + 1 fits uint8)."""
-    if not 1 <= clip <= 254:
-        raise GraphValidationError(f"clip must be in [1, 254], got {clip}")
-
-
-def _level_codes(g: Graph, clip: int) -> np.ndarray:
-    """One level's clipped distance codes, n x n uint8 (1 <= clip <= 254)."""
-    check_clip(clip)
-    d = spd_all_pairs(g)
-    np.minimum(d, clip, out=d)  # UNREACHABLE (-1) stays below every clip
-    d[d == UNREACHABLE] = clip + 1
-    return d.astype(np.uint8)
-
-
 def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
     """Codes from base nodes to level-``base`` nodes at levels base..K.
 
@@ -189,7 +230,7 @@ def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
         if m:
             assign = h.maps[level - 1].assign
             rows, cols = assign[rows], assign[cols]
-        codes = _level_codes(h.levels[level], clip)[rows]
+        codes = spd_all_pairs(h.levels[level], clip)[rows]
         entries[:, :, m] = codes[:, cols] if m else codes
     return HdseTensor(entries, clip)
 

@@ -121,8 +121,9 @@ MAX_NODES = 2**32
 # Girvan-Newman pass also one per (source, edge) pair. Larger inputs are
 # refused before anything is allocated, so that the largest accepted one
 # stays under about 4 GiB. Tracemalloc peaks: a dense Brandes pass up to
-# 88 B per pair (on a ring; 3.3 GiB at the limit), refinement 32 B per pair
-# of each graph (2.4 GiB for two graphs) and ``hdse`` 9 B per pair at K = 2.
+# 88 B per pair (on a ring; 3.3 GiB at the limit), refinement 16 B per pair
+# of each graph (1.2 GiB for two graphs) and ``hdse`` 5.6 B per pair at
+# K = 2.
 MAX_PAIRS = 40_000_000
 
 

@@ -3,6 +3,9 @@
 Each iteration recolors a node by the multiset of (distance-to-u,
 color-of-u) pairs over all nodes u. The distance can be the plain
 shortest-path distance or the full per-pair hierarchy distance vector.
+Each pair's distance key is folded once into one int32 pair id that keeps
+the keys' order; the ids need not be dense, since only their order reaches
+the colors.
 
 One loop refines one graph or a pair in lockstep. Colors are dense ids,
 renumbered every iteration jointly over the graphs refined together: within
@@ -16,6 +19,7 @@ stops when no graph gains a color, within max(1, n1, n2) steps.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -110,14 +114,39 @@ def _dense_rows(blocks: list[np.ndarray]) -> list[np.ndarray]:
 def _pair_ids(keys: list[np.ndarray]) -> list[np.ndarray]:
     """(n, n) id per node pair, jointly: equal distance keys share an id.
 
-    Ids come from ``tuple_keys`` over all pairs of all graphs, so they are
-    dense and keep the keys' order.
+    Ids keep the keys' lexicographic order but are not dense. Each graph's
+    keys are folded column by column, ``id * span + value``, in place into
+    its slice of one int32 array, then shifted by the fold of the column
+    minima (each at most 0) so that no id is negative; span is the count of
+    values a column takes across all graphs. Refinement compares ids only
+    by their order, so colours are the same as from dense ranks. When the
+    product of the spans reaches 2**31, the ids are ``tuple_keys``'s dense
+    int64 ranks instead. SPD's one column folds to d, or to d + 1 when some
+    pair is unreachable.
     """
-    ids, _ = tuple_keys(np.concatenate([k.reshape(-1, k.shape[-1])
-                                        for k in keys]))
-    sizes = [len(k) for k in keys]
-    parts = np.split(ids, np.cumsum([n * n for n in sizes])[:-1])
-    return [part.reshape(n, n) for part, n in zip(parts, sizes)]
+    rows = [k.reshape(-1, k.shape[-1]) for k in keys]
+    bounds = np.cumsum([len(r) for r in rows])[:-1]
+    los, spans = [], []
+    for j in range(keys[0].shape[-1]):  # a min over axis 0 is slower
+        los.append(min(int(r[:, j].min(initial=0)) for r in rows))
+        spans.append(max(int(r[:, j].max(initial=0)) for r in rows)
+                     - los[-1] + 1)
+    if math.prod(spans) >= 2 ** 31:
+        ids, _ = tuple_keys(np.concatenate(rows))
+    else:
+        ids = np.empty(sum(len(r) for r in rows), dtype=np.int32)
+        offset = 0
+        for lo, span in zip(los, spans):
+            offset = offset * span + lo
+        for seg, r in zip(np.split(ids, bounds), rows):
+            seg[:] = r[:, 0]
+            for j, span in enumerate(spans[1:], 1):
+                seg *= span
+                seg += r[:, j]
+            if offset:
+                seg -= offset
+    return [part.reshape(len(k), len(k))
+            for part, k in zip(np.split(ids, bounds), keys)]
 
 
 def _initial_colors(graphs: list[Graph]) -> list[np.ndarray]:

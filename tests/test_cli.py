@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import os
 import re
@@ -302,6 +304,57 @@ class TestUnwritableOutput:
         assert "Traceback" not in proc.stderr
         assert re.fullmatch(r"error: cannot write stdout: \[Errno 28\] .*\n",
                             proc.stderr), proc.stderr
+
+    @pytest.mark.parametrize("command", ["named-graph", "encode"])
+    def test_short_raw_writes_deliver_every_byte(self, command, p3_file,
+                                                 tmp_path, monkeypatch):
+        # text and binary payloads through an unbuffered stdout, whose raw
+        # write takes a few bytes per call: all of them arrive, in order
+        args = self.args(command, p3_file, tmp_path)
+        want = tmp_path / "want"
+        assert main([*args, "-o", str(want)]) == 0
+        raw = ShortWrites()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+            raw, encoding="utf-8", write_through=True))
+        assert main(args) == 0
+        assert bytes(raw.data) == want.read_bytes()
+
+    def test_short_raw_writes_then_full_exit_2(self, tmp_path, monkeypatch,
+                                               capsys):
+        # the stream fails part way through: one error line and exit 2;
+        # a spare file stands in for stdout's descriptor, which the CLI
+        # points at os.devnull after a failed write
+        with open(tmp_path / "fd", "wb") as spare:
+            raw = ShortWrites(spare.fileno(), room=10)
+            monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(
+                raw, encoding="utf-8", write_through=True))
+            capsys.readouterr()
+            assert main(["named-graph", "dodecahedron"]) == 2
+        assert bytes(raw.data) == graph.write_edge_list(
+            dodecahedron_graph()).encode()[:12]
+        assert re.fullmatch(r"error: cannot write stdout: \[Errno 28\] .*\n",
+                            capsys.readouterr().err)
+
+
+class ShortWrites(io.RawIOBase):
+    """A raw stdout whose ``write`` takes at most 3 bytes per call and fails
+    with ENOSPC once ``room`` bytes are in."""
+
+    def __init__(self, fd=-1, room=None):
+        self.data, self.fd, self.room = bytearray(), fd, room
+
+    def writable(self):
+        return True
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, b):
+        if self.room is not None and len(self.data) >= self.room:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        chunk = bytes(b[:3])
+        self.data += chunk
+        return len(chunk)
 
 
 class TestInterrupt:

@@ -11,6 +11,7 @@ from hdse.distance import (UNREACHABLE, ghd, hdse, high_level_hdse,
                            read_tensor, spd_all_pairs, tuple_keys,
                            write_tensor)
 from hdse.graph import GraphValidationError, NodePermutation, make_graph
+from hdse.refine import cycle_graph
 
 
 def floyd_warshall(g):
@@ -188,6 +189,65 @@ class TestHopCountingKernel:
         edges = [(u, v) for u, v in pairs if u < n and v < n and u != v
                  and not (split and (u < cut) != (v < cut))]
         assert_same_as_mask_writing(make_graph(n, edges))
+
+
+def clipped(d, clip):
+    """The former ``_level_codes`` after its search: int32 distances
+    clipped, unreachable pairs marked ``clip + 1``, then cast to uint8."""
+    codes = np.minimum(d, clip)  # UNREACHABLE (-1) stays below every clip
+    codes[d == UNREACHABLE] = clip + 1
+    return codes.astype(np.uint8)
+
+
+def assert_clipped_codes_exact(g):
+    d = spd_all_pairs(g)
+    for clip in (1, 2, 30, 254):
+        assert_same_bytes(spd_all_pairs(g, clip), clipped(d, clip))
+
+
+CLIPPED_CASES = {
+    "random": lambda: random_graph(80, 0.05, 4),
+    "edgeless": lambda: make_graph(70, []),
+    "disconnected": lambda: make_graph(130, [
+        (u, v) for u, v in random_graph(130, 0.05, 3).edge_array()
+        if (u < 60) == (v < 60)]),
+    "path of 1000": lambda: make_graph(1000, path_edges(1000)),
+    "two paths of 500": lambda: make_graph(1000, path_edges(500) + [
+        (u + 500, v + 500) for u, v in path_edges(500)]),
+    "cycle of 2000": lambda: cycle_graph(2000),
+}
+
+
+class TestClippedSpd:
+    """``spd_all_pairs`` with a clip stops after ``clip`` hops and returns
+    uint8 codes byte-equal to clipping the int32 distances; pairs still
+    unreached at the clip are told apart by their components."""
+
+    @pytest.mark.parametrize("case", CLIPPED_CASES)
+    def test_codes_equal_the_clipped_distances(self, case):
+        assert_clipped_codes_exact(CLIPPED_CASES[case]())
+
+    @given(st.integers(0, 140),
+           st.lists(st.tuples(st.integers(0, 139), st.integers(0, 139)),
+                    max_size=300),
+           st.integers(0, 140), st.sampled_from([1, 2, 3, 5, 254]),
+           st.integers(0, 2 ** 16))
+    @settings(max_examples=100, deadline=None)
+    def test_random_graphs(self, n, pairs, cut, clip, seed):
+        # no edge crosses the cut, and node ids are shuffled, so the
+        # component labels start far from their minima
+        ids = np.random.default_rng(seed).permutation(max(n, 1))
+        edges = [(ids[u], ids[v]) for u, v in pairs
+                 if u < n and v < n and u != v and (u < cut) == (v < cut)]
+        g = make_graph(n, edges)
+        d = floyd_warshall(g)
+        assert_same_bytes(spd_all_pairs(g), d)
+        assert_same_bytes(spd_all_pairs(g, clip), clipped(d, clip))
+
+    @pytest.mark.parametrize("clip", [0, 255, -1])
+    def test_refuses_bad_clip(self, clip):
+        with pytest.raises(GraphValidationError, match="clip must be in"):
+            spd_all_pairs(make_graph(3, [(0, 1)]), clip)
 
 
 def folded_keys(rows):
@@ -537,6 +597,23 @@ def test_hdse_peak_is_at_most_9_bytes_per_pair():
         tracemalloc.stop()
     assert t.entries.shape == (n, n, 3)
     assert peak <= 9 * n * n
+
+
+def test_hdse_peak_is_at_most_6_bytes_per_pair():
+    # the (n, n, 3) uint8 result, one level's uint8 codes and one unpacked
+    # uint8 hop temporary: the BFS counts clipped codes directly, with no
+    # int32 distances; 5.55 B per pair measured
+    n, rng = 1000, np.random.default_rng(0)
+    e = rng.integers(0, n, size=(3 * n, 2))
+    h = build_hierarchy(make_graph(n, e[e[:, 0] != e[:, 1]]), "louvain", 2)
+    tracemalloc.start()
+    try:
+        t = hdse(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert t.entries.shape == (n, n, 3)
+    assert peak <= 6 * n * n
 
 
 class TestTensorFile:

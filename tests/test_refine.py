@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -546,6 +547,26 @@ class TestRefineOracle:
                 assert len(got.colors) == len(cm.colors)
                 for a, b in zip(got.colors, cm.colors):
                     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("enc", [SpdEncoding(),
+                                 HdseEncoding(levels=2, algo="louvain")],
+                         ids=enc_name)
+def test_refine_pair_peak_is_at_most_17_bytes_per_pair(enc):
+    # the int32 pair ids, folded in place, and one step's int32 keys, byte
+    # rows and sorted rows: 16.1 B per pair of each graph measured
+    n = 1000
+    graphs = []
+    for seed in (1, 2):
+        e = np.random.default_rng(seed).integers(0, n, size=(3 * n, 2))
+        graphs.append(make_graph(n, e[e[:, 0] != e[:, 1]]))
+    tracemalloc.start()
+    try:
+        refine_pair(*graphs, enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2 * n * n
 
 
 @st.composite
