@@ -16,6 +16,14 @@ all its graphs and the attention kernel once, with Q, K and V from one fused
 projection; gradients are sums over the graphs. An empty graph or batch gives
 an empty output and zero gradients.
 
+The kernel keeps the logits key-major, in one (heads, m, B, n) buffer, and
+hands out its (B, heads, n, m) transposed view. The softmax and its backward
+row dot then reduce over whole (B, n) blocks, one per head and key, and
+``bias_matrix`` gathers its planes in the same order, so the bias adds as
+one contiguous array and its gradient is read back without a copy. Sums
+over the keys run in key order, so a graph's result does not depend on the
+batch it runs in.
+
 Everything is plain numpy in float64; backward passes are written by hand and
 checked against central finite differences in the test suite.
 """
@@ -140,10 +148,10 @@ def bias_matrix(codes: np.ndarray, p: BiasParams,
     [0, clip + 1]. A pair's bias depends only on its tuple of codes, so the
     embedding and MLP run once per distinct tuple, giving a (tuples, heads)
     table that is gathered onto the pairs. ``keys`` is ``code_keys(codes,
-    p)``; when None it is computed here. The bias is stored head-major: it
-    is the transposed view of a contiguous (heads, rows, cols) array, so
-    each head's plane is contiguous. Returns (bias, cache) where cache
-    feeds bias_backward.
+    p)``; when None it is computed here. The bias is stored key-major, as
+    the attention kernel keeps its logits: it is the transposed view of a
+    contiguous (heads, cols, rows) array. Returns (bias, cache) where cache
+    feeds bias_backward; the cached tuple ids stay in C order.
     """
     codes = np.asarray(codes)
     if codes.ndim != 3 or codes.shape[2] != p.levels:
@@ -162,8 +170,8 @@ def bias_matrix(codes: np.ndarray, p: BiasParams,
     pre = cat @ p.w1 + p.b1
     hid = np.maximum(pre, 0.0)
     table = hid @ p.w2 + p.b2
-    planes = np.take(np.ascontiguousarray(table.T), inverse, axis=1)
-    bias = planes.reshape(p.heads, rows, cols).transpose(1, 2, 0)
+    planes = np.take(table.T, inverse.reshape(rows, cols).T, axis=1)
+    bias = planes.transpose(2, 1, 0)
     cache = {"tuples": tuples, "inverse": inverse, "cat": cat, "pre": pre,
              "hid": hid, "params": p}
     return bias, cache
@@ -172,19 +180,23 @@ def bias_matrix(codes: np.ndarray, p: BiasParams,
 def bias_backward(d_bias: np.ndarray, cache: dict):
     """Gradients of the bias function; returns (d_embeddings, d_w1, d_b1, d_w2, d_b2).
 
-    ``d_bias`` is (rows, cols, heads), or (..., heads) with the pairs in the
-    order bias_matrix saw them. It is read one head plane at a time, so a
-    transposed view of a head-major (rows, cols) array is read without a copy.
+    ``d_bias`` is (rows, cols, heads), the shape of the bias. It is read
+    key-major, as a (heads, cols * rows) array, so the transposed view of a
+    contiguous (heads, cols, rows) gradient, such as the layer's
+    ``d_logits``, is read without a copy. The tuple ids are put in the same
+    order here, and each tuple sums its pairs in that order.
     """
     p: BiasParams = cache["params"]
     tuples, inverse, cat, pre, hid = (cache["tuples"], cache["inverse"],
                                       cache["cat"], cache["pre"], cache["hid"])
     levels, _, embed_dim = p.embeddings.shape
     # every pair adds its bias gradient to the table row of its tuple
-    d_planes = np.moveaxis(d_bias, -1, 0).reshape(p.heads, len(inverse))
+    rows, cols, _ = d_bias.shape
+    d_planes = d_bias.transpose(2, 1, 0).reshape(p.heads, len(inverse))
+    key_major = inverse.reshape(rows, cols).T.ravel()
     d_table = np.empty((len(tuples), p.heads))
     for h in range(p.heads):
-        d_table[:, h] = np.bincount(inverse, weights=d_planes[h],
+        d_table[:, h] = np.bincount(key_major, weights=d_planes[h],
                                     minlength=len(tuples))
     d_w2 = hid.T @ d_table
     d_b2 = d_table.sum(axis=0)
@@ -228,7 +240,9 @@ def _attention(x: np.ndarray, params: AttentionParams,
 
     Q, K and V come from one GEMM over all B * n rows (the linear variant: Q
     from ``x``, K and V from ``x_ctx``). Activations are (B, heads, rows,
-    head_dim), so a head-major bias adds to the logits as a view.
+    head_dim). The logits are key-major (see the module docstring), so a
+    bias from ``bias_matrix`` adds as one contiguous array, and
+    ``cache["attn"]`` is a (B, heads, n, m) view of a (heads, m, B, n) array.
     """
     if not all(np.isfinite(a).all() for a in (x, x_ctx) if a is not None):
         raise ValueError("non-finite input features")
@@ -244,17 +258,21 @@ def _attention(x: np.ndarray, params: AttentionParams,
     else:
         (q,) = _split_heads(x.reshape(b * n, d) @ w[:, :width], b, n, 1, params)
         k, v = _split_heads(ctx.reshape(b * m, d) @ w[:, width:], b, m, 2, params)
-    attn = q @ k.transpose(0, 1, 3, 2)  # the logits, until the softmax
-    attn *= 1.0 / np.sqrt(params.head_dim)
+    # the logits key-major, (heads, m, B, n): the softmax reduces over axis
+    # 1, one pass over all B * n rows per key, not one short row at a time
+    lt = np.empty((params.heads, m, b, n))
+    np.matmul(k, q.transpose(0, 1, 3, 2), out=lt.transpose(2, 0, 1, 3))
+    lt *= 1.0 / np.sqrt(params.head_dim)
     if bias is not None:
         if bias.shape != (b, n, m, params.heads):
             raise ValueError(f"bias shape {bias.shape[1:]} incompatible with "
                              f"({n}, {m}, {params.heads})")
-        attn += np.moveaxis(bias, -1, 1)
+        lt += bias.transpose(3, 2, 0, 1)
     # softmax in place; initial=-inf lets rows of no entries pass through
-    attn -= attn.max(axis=-1, keepdims=True, initial=-np.inf)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    lt -= lt.max(axis=1, keepdims=True, initial=-np.inf)
+    np.exp(lt, out=lt)
+    lt /= lt.sum(axis=1, keepdims=True)
+    attn = lt.transpose(2, 0, 3, 1)  # (B, heads, n, m)
     out = (attn @ v).transpose(0, 2, 1, 3).reshape(b, n, width)
     return out, dict(x=x, ctx=ctx, q=q, k=k, v=v, attn=attn, params=params)
 
@@ -263,8 +281,9 @@ def attention_backward(d_out: np.ndarray, cache: dict):
     """Backward pass of ``_attention`` for ``d_out`` (B, n, heads * head_dim).
 
     Returns (d_wq, d_wk, d_wv, d_logits): weight gradients summed over the
-    batch, and the head-major (B, heads, n, m) gradient of the pre-softmax
-    logits, and so of an additive bias.
+    batch, and the (B, heads, n, m) gradient of the pre-softmax logits, and
+    so of an additive bias. Like ``cache["attn"]``, ``d_logits`` is a view of
+    a contiguous key-major (heads, m, B, n) array.
     """
     params: AttentionParams = cache["params"]
     x, ctx, q, k, v, attn = (cache[key] for key in "x ctx q k v attn".split())
@@ -272,9 +291,15 @@ def attention_backward(d_out: np.ndarray, cache: dict):
     scale = 1.0 / np.sqrt(params.head_dim)
     (d_heads,) = _split_heads(d_out, b, n, 1, params)
     d_v = attn.transpose(0, 1, 3, 2) @ d_heads
-    d_logits = d_heads @ v.transpose(0, 1, 3, 2)  # d_attn, then in place:
-    d_logits -= (d_logits * attn).sum(axis=-1, keepdims=True)
-    d_logits *= attn
+    lt = attn.transpose(1, 3, 0, 2)  # key-major, as _attention keeps it
+    dlt = np.empty(lt.shape)  # d_attn, then in place d_logits, key-major
+    np.matmul(v, d_heads.transpose(0, 1, 3, 2), out=dlt.transpose(2, 0, 1, 3))
+    # the row dot (d_attn * attn).sum over keys, one head at a time, so the
+    # product is one head's block, not all heads'; each sum keeps key order
+    for dh, ah in zip(dlt, lt):
+        dh -= (dh * ah).sum(axis=0)
+    dlt *= lt
+    d_logits = dlt.transpose(2, 0, 3, 1)
     d_q = (d_logits @ k) * scale
     d_k = (d_logits.transpose(0, 1, 3, 2) @ q) * scale
     # tensordot: one (d, B * rows) @ (B * rows, heads * head_dim) GEMM each
@@ -334,8 +359,11 @@ class BiasedAttentionLayer:
             raise RuntimeError("backward called before forward")
         cache, bias_cache = self._cache
         *grads, d_logits = attention_backward(d_out, cache)
-        if bias_cache is not None:  # (B, n, m, heads) view of d_logits
-            grads += bias_backward(np.moveaxis(d_logits, 1, -1), bias_cache)
+        if bias_cache is not None:  # (B * n, m, heads) view of d_logits
+            b, heads, n, m = d_logits.shape
+            grads += bias_backward(
+                d_logits.transpose(0, 2, 3, 1).reshape(b * n, m, heads),
+                bias_cache)
         named = self.parameters()
         # zeros for the bias parameters when forward ran without codes
         grads += [np.zeros_like(arr) for _, arr in named[len(grads):]]

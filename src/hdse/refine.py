@@ -5,7 +5,8 @@ color-of-u) pairs over all nodes u. The distance can be the plain
 shortest-path distance or the full per-pair hierarchy distance vector.
 Each pair's distance key is folded once into one int32 pair id that keeps
 the keys' order; the ids need not be dense, since only their order reaches
-the colors.
+the colors. They are ranked densely only when sparse ids would make the
+refinement steps' keys int64.
 
 One loop refines one graph or a pair in lockstep. Colors are dense ids,
 renumbered every iteration jointly over the graphs refined together: within
@@ -149,6 +150,19 @@ def _pair_ids(keys: list[np.ndarray]) -> list[np.ndarray]:
             for part, k in zip(np.split(ids, bounds), keys)]
 
 
+def _rank_pair_ids(pairs: list[np.ndarray]) -> int:
+    """Replace pair ids in place by their joint dense ranks; return the top.
+
+    Ranks keep the ids' order, so refinement gives the same colours. Each
+    graph's distinct ids are found on its own, so the extra memory is one
+    graph's ids at a time.
+    """
+    distinct = np.unique(np.concatenate([np.unique(p) for p in pairs]))
+    for p in pairs:
+        p[...] = np.searchsorted(distinct, p)
+    return len(distinct) - 1
+
+
 def _initial_colors(graphs: list[Graph]) -> list[np.ndarray]:
     """Dense ids of the feature rows; a featureless graph has empty rows."""
     return _dense_rows([g.features if g.features is not None
@@ -185,6 +199,10 @@ def _refine(graphs: list[Graph], enc: Encoding) -> list[ColorMap]:
     """
     pairs = _pair_ids([_distance_keys(g, enc) for g in graphs])
     top = max(int(p.max(initial=0)) for p in pairs)
+    if (top + 1) * sum(len(p) for p in pairs) >= 2 ** 31:
+        # step keys are pair id * colour count + colour, with at most
+        # n1 + n2 colours: past int32, rank the sparse ids densely first
+        top = _rank_pair_ids(pairs)
     colors = _initial_colors(graphs)
     cms = [ColorMap() for _ in graphs]
     for cm, c in zip(cms, colors):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdse import attention as attention_mod
 from hdse import distance
 from hdse.attention import (AttentionParams, BiasParams, BiasedAttentionLayer,
                             _attention, attention_backward, attention_forward,
@@ -692,6 +693,72 @@ class TestBatchedKernelMatchesOracle:
         want, _ = _attention(x[None], params, bias[None])
         assert np.array_equal(out, want[0])
         assert cache["attn"].shape == (1, 3, 7, 7)
+
+
+class TestKeyMajorLayout:
+    """The logits are kept key-major, (heads, m, B, n), and the softmax sums
+    over keys in order. A graph's sums do not depend on the other graphs of
+    its batch, so a batch equals its graphs run one at a time bitwise, at
+    any m; the per-graph oracle sums its rows pairwise, so past m = 8 it
+    differs in the last bits."""
+
+    def run(self, shape, linear, seed):
+        batch, n, m = shape
+        rng = np.random.default_rng(seed)
+        params = init_attention_params(16, 4, 8, rng)
+        x = rng.standard_normal((batch, n, 16))
+        xk = rng.standard_normal((batch, m, 16)) if linear else None
+        bias = rng.standard_normal((4, m, batch * n)).T.reshape(
+            batch, n, m, 4)  # key-major, as bias_matrix returns it
+        d_out = rng.standard_normal((batch, n, 32))
+        out, cache = _attention(x, params, bias, xk)
+        d_logits = attention_backward(d_out, cache)[-1]
+        return params, x, xk, bias, d_out, out, d_logits
+
+    @pytest.mark.parametrize("shape, linear", [((20, 30, 30), False),
+                                               ((5, 40, 12), True)])
+    def test_batch_equals_graphs_one_at_a_time(self, shape, linear):
+        params, x, xk, bias, d_out, out, d_logits = self.run(shape, linear, 32)
+        for b in range(shape[0]):
+            want, cache = _attention(x[b:b + 1], params, bias[b:b + 1],
+                                     None if xk is None else xk[b:b + 1])
+            want_d_logits = attention_backward(d_out[b:b + 1], cache)[-1]
+            assert np.array_equal(out[b], want[0])
+            assert np.array_equal(d_logits[b], want_d_logits[0])
+
+    def test_within_1e13_of_oracle_at_30_keys(self):
+        params, x, _, bias, d_out, out, d_logits = self.run((20, 30, 30),
+                                                            False, 33)
+        for b in range(20):
+            want, cache = oracle_attention_forward(x[b], params, bias[b])
+            want_d_logits = oracle_attention_backward(d_out[b], cache)[-1]
+            for got, ref in ((out[b], want), (d_logits[b], want_d_logits)):
+                assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_bias_backward_reads_d_logits_without_a_copy(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        layer = BiasedAttentionLayer(init_attention_params(5, 2, 3, rng),
+                                     init_bias_params(2, 5, 3, 3, 2, rng))
+        layer.forward(rng.standard_normal((3, 4, 5)),
+                      rng.integers(0, 7, (3, 4, 4, 2)))
+        results, weights = [], []
+        backward, bincount = attention_backward, np.bincount
+
+        def spy_backward(*args):
+            results.append(backward(*args))
+            return results[-1]
+
+        def spy_bincount(*args, **kwargs):
+            weights.append(kwargs["weights"])
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(attention_mod, "attention_backward", spy_backward)
+        monkeypatch.setattr(np, "bincount", spy_bincount)
+        layer.backward(rng.standard_normal((3, 4, 6)))
+        d_logits = results[0][-1]
+        assert len(weights) == 2
+        for plane in weights:  # one row of the (heads, pairs) view per head
+            assert np.shares_memory(plane, d_logits)
 
 
 class TestInputsUnchanged:

@@ -377,7 +377,9 @@ class TestInterrupt:
         proc = subprocess.Popen(
             [sys.executable, "-m", "hdse.cli", "demo", "--seeds", "20",
              "-o", str(tmp_path / "m.csv")], cwd=tmp_path, env=cli_env(),
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            # a child of a shell's background job inherits SIGINT ignored
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
         try:
             time.sleep(2.0)
             proc.send_signal(signal.SIGINT)

@@ -569,6 +569,51 @@ def test_refine_pair_peak_is_at_most_17_bytes_per_pair(enc):
     assert peak <= 17 * 2 * n * n
 
 
+def sparse_hem_pair():
+    # many components, so every level of the hem codes spans 0..31 and the
+    # folded pair ids reach 32**5 - 1: sparse ids times 2000 colours would
+    # pass 2**31
+    n = 1000
+    graphs = []
+    for seed in (1, 2):
+        e = np.random.default_rng(seed).integers(0, n, size=(700, 2))
+        graphs.append(make_graph(n, e[e[:, 0] != e[:, 1]]))
+    return graphs, HdseEncoding(levels=4, algo="hem")
+
+
+def test_sparse_pair_ids_ranked_peak_is_at_most_17_bytes_per_pair():
+    graphs, enc = sparse_hem_pair()
+    tracemalloc.start()
+    try:
+        refine_pair(*graphs, enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 17 * 2 * 1000 * 1000
+
+
+def test_ranked_pair_ids_give_the_sparse_ids_colors(monkeypatch):
+    graphs, enc = sparse_hem_pair()
+    ranked = refine._rank_pair_ids
+    tops = []
+
+    def spy(pairs):
+        tops.append(max(int(p.max()) for p in pairs))
+        return ranked(pairs)
+
+    monkeypatch.setattr(refine, "_rank_pair_ids", spy)
+    got = refine_pair(*graphs, enc)
+    assert len(tops) == 1 and (tops[0] + 1) * 2000 >= 2 ** 31
+    # the sparse ids as they are, stepped on int64 keys
+    monkeypatch.setattr(refine, "_rank_pair_ids",
+                        lambda pairs: max(int(p.max()) for p in pairs))
+    want = refine_pair(*graphs, enc)
+    for a, b in zip(got, want):
+        assert len(a.colors) == len(b.colors)
+        for ca, cb in zip(a.colors, b.colors):
+            assert ca.dtype == cb.dtype and np.array_equal(ca, cb)
+
+
 @st.composite
 def row_blocks(draw):
     """Blocks of non-negative int32 or int64 rows of different widths.
