@@ -14,9 +14,12 @@ the quotient of the level below and nothing else: it has no features and no
 labels, and features reach it only through ``Hierarchy.projected_features``.
 Girvan-Newman reads its distances from the forward sweep of its own dense
 Brandes pass, one per edge removal on the component that lost the edge, and
-relabels the components only when a removal splits one. With no target it
-stops once a sum of per-component modularity bounds shows that no later
-partition, each a refinement of the current components, can win.
+relabels the components only when a removal splits one. The pass counts hops
+by adding up a 0/1 float mask of the pairs not reached yet and masks every
+level by multiplying with 0/1 arrays, never by boolean-indexed writes. With
+no target it stops once a sum of per-component modularity bounds shows that
+no later partition, each a refinement of the current components, can win.
+Inputs past ``MAX_PAIRS`` or ``MAX_GN_WORK`` are refused before allocating.
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph import (Graph, GraphParseError, GraphValidationError,
-                    NodePermutation, _is_int, _json_array, check_pairs,
-                    graph_from_json_dict, make_graph, parse_json, permute)
+                    NodePermutation, _is_int, _json_array, check_gn_work,
+                    check_pairs, graph_from_json_dict, make_graph, parse_json,
+                    permute)
 
 
 @dataclass(frozen=True)
@@ -185,32 +189,66 @@ def _brandes(a: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Hop distances ``d`` (int32, -1 if unreachable) of the dense 0/1
     adjacency ``a`` and the exact betweenness of its u < v ``edges``.
 
-    Brandes for all sources at once: row s of ``sigma`` counts the shortest
-    paths from s, filled by a forward sweep over the hop levels that also
-    writes ``d``; row s of ``w`` is (1 + delta) / sigma, the dependency of s
-    on a node per path through it, filled backwards one level mask at a time.
-    Edge (u, v), v one level below u, carries sigma[s, u] * w[s, v] of the
-    pairs from s; each pair counts from both of its ends, hence the halving.
+    Brandes for all sources at once. Row s of ``sigma`` counts the shortest
+    paths from s; row s of ``w`` is (1 + delta) / sigma, the dependency of s
+    on a node per path through it. Edge (u, v), v one level below u,
+    carries sigma[s, u] * w[s, v] of the pairs from s; each pair counts from
+    both of its ends, hence the halving.
+
+    On the few-dozen-node components Girvan-Newman solves, a pass costs
+    numpy calls, not arithmetic, so every mask is a float 0/1 array that
+    multiplies, never a boolean-indexed write or ``where=``. The forward
+    sweep multiplies each level's path counts by ``unseen`` (1 at the pairs
+    not reached yet) and counts hops by adding ``unseen`` up; it stops once
+    a level reaches nothing new or every pair is reached, and takes the
+    pairs still unseen to -1. The backward sweep divides 1 + delta by sigma
+    over the whole block, with 1 in place of sigma at unreached pairs so
+    that every quotient is finite, and keeps one hop level by multiplying
+    with that level's mask, written into one of two reused buffers. A
+    finite value times 0 or 1 is 0 or itself, so the results are bit for
+    bit those of boolean masking.
+
+    Path counts overflow float64 only from about 1,900 nodes with hundreds
+    of levels, far past ``MAX_GN_WORK``; there inf * 0 makes the betweenness
+    NaN, as inf - inf does under boolean masking.
     """
     n, k = len(a), 0
-    d = np.eye(n, dtype=np.int32) - 1
-    level = sigma = np.eye(n)  # level: the path counts of the pairs at hop k
-    while True:
-        nxt = level @ a
-        nxt[d >= 0] = 0.0
-        new = nxt > 0.0
-        if not new.any():
+    level = sigma = np.eye(n)
+    unseen, hops = 1.0 - sigma, np.zeros((n, n))
+    left = n * n - n  # pairs not reached yet
+    while left:
+        level = level @ a
+        level *= unseen
+        new = np.count_nonzero(level)
+        if not new:
             break
+        left -= new
         k += 1
-        d[new] = k
-        sigma += nxt
-        level = nxt
-    delta, w = np.zeros((n, n)), np.zeros((n, n))
-    below = d == k
+        hops += unseen
+        sigma += level
+        np.equal(sigma, 0.0, out=unseen, casting="unsafe")
+    del level
+    # each unreached pair counted all k levels
+    hops -= np.multiply(unseen, k + 1, out=unseen)
+    d = hops.astype(np.int32)
+    safe = np.maximum(sigma, 1.0, out=unseen)
+    delta, q, r = np.zeros((n, n)), np.empty((n, n)), np.empty((n, n))
+    on, below = hops, np.empty((n, n))
+    np.equal(d, k, out=below, casting="unsafe")
     for k in range(k, 0, -1):
-        on, below = below, d == k - 1
-        np.divide(1.0 + delta, sigma, out=w, where=on)
-        delta += ((w * on) @ a) * sigma * below
+        on, below = below, on
+        np.equal(d, k - 1, out=below, casting="unsafe")
+        np.add(delta, 1.0, out=q)
+        q /= safe
+        q *= on
+        np.matmul(q, a, out=r)
+        r *= sigma
+        r *= below
+        delta += r
+    w = delta
+    w += 1.0
+    w /= safe
+    del unseen, hops, safe, q, r, on, below  # freed before the n x m gathers
     u, v = edges.T
     du, dv = d[:, u], d[:, v]
     return d, ((dv == du + 1) * sigma[:, u] * w[:, v]
@@ -239,13 +277,15 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     and the loop stops once sum_C B_C is below the best modularity so far.
     The 1e-9 slack in that test keeps float rounding from stopping before a
     partition that would have won. Past ``MAX_PAIRS`` node pairs, or (node,
-    edge) pairs on a graph with more edges than nodes, it raises MemoryError
-    before allocating.
+    edge) pairs on a graph with more edges than nodes, or past
+    ``MAX_GN_WORK`` units of modeled work, it raises MemoryError before
+    allocating.
     """
     n, m = g.num_nodes, max(g.num_edges, 1)  # an edgeless graph scores 0
     if target is not None and target > n:
         raise GraphValidationError(f"target {target} exceeds {n} nodes")
     check_pairs("girvan_newman", n * max(n, m))  # n x m edge gathers too
+    check_gn_work(n, m)
     edges = g.edge_array()
     deg = g.degrees().astype(np.float64)
     a = np.zeros((n, n))

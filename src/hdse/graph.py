@@ -121,10 +121,20 @@ MAX_NODES = 2**32
 # Girvan-Newman pass also one per (source, edge) pair. Larger inputs are
 # refused before anything is allocated, so that the largest accepted one
 # stays under about 4 GiB. Tracemalloc peaks: a dense Brandes pass up to
-# 88 B per pair (on a ring; 3.3 GiB at the limit), refinement 16 B per pair
+# 60 B per pair (on a ring; 2.2 GiB at the limit), refinement 16 B per pair
 # of each graph (1.2 GiB for two graphs) and ``hdse`` 5.6 B per pair at
 # K = 2.
 MAX_PAIRS = 40_000_000
+
+# Girvan-Newman on n nodes and m edges runs up to m + 1 dense Brandes
+# passes. Each does about n^3 multiply-adds per hop level in matrix
+# products, plus elementwise work on n x m edge gathers that costs as
+# much as some 40 multiply-adds per (source, edge) pair. Its time fits
+# n * m * (n^2 + 40 m) units, about 2e-10 s each on random graphs of 100
+# to 534 nodes, within 15% from m = 2n to m = 25n (2-vCPU VM). Past
+# MAX_GN_WORK units it is refused before anything is allocated; at the
+# limit a run takes about a minute.
+MAX_GN_WORK = 300_000_000_000
 
 
 def check_pairs(what: str, pairs: int) -> None:
@@ -132,6 +142,16 @@ def check_pairs(what: str, pairs: int) -> None:
     if pairs > MAX_PAIRS:
         raise MemoryError(f"{what} needs {pairs} pairs, more than the limit "
                           f"of {MAX_PAIRS} (MAX_PAIRS)")
+
+
+def check_gn_work(n: int, m: int) -> None:
+    """Raise MemoryError naming ``MAX_GN_WORK`` if Girvan-Newman's modeled
+    work on n nodes and m edges, n * m * (n^2 + 40 m), exceeds it."""
+    work = n * m * (n * n + 40 * m)
+    if work > MAX_GN_WORK:
+        raise MemoryError(f"girvan_newman needs {work} units of work on "
+                          f"{n} nodes and {m} edges, more than the limit of "
+                          f"{MAX_GN_WORK} (MAX_GN_WORK)")
 
 
 def make_graph(num_nodes: int, edges, features=None, labels=None) -> Graph:

@@ -452,6 +452,31 @@ class TestPairLimit:
             assert ("limit of 36" in err) == (code == 2)
 
 
+class TestGnWorkLimit:
+    """Girvan-Newman past graph.MAX_GN_WORK exits 2 before allocating."""
+
+    def test_limit_is_documented(self):
+        assert f"{graph.MAX_GN_WORK:,}" in README.read_text()
+
+    def test_ring_just_past_the_limit_refused(self, tmp_path):
+        # a ring of n nodes has n * n * (n^2 + 40 n) units: 730 is under
+        # the limit, 731 over it
+        work = [n * n * (n * n + 40 * n) for n in (730, 731)]
+        assert work[0] <= graph.MAX_GN_WORK < work[1]
+        f = tmp_path / "c.txt"
+        assert main(["named-graph", "cycle(731)", "-o", str(f)]) == 0
+        start = time.perf_counter()
+        proc = run_cli("coarsen", str(f), "--algo", "newman", "-o",
+                       str(tmp_path / "h.json"), cwd=tmp_path)
+        assert time.perf_counter() - start < 1.0
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            f"error: input too large: girvan_newman needs {work[1]} units of "
+            f"work on 731 nodes and 731 edges, more than the limit of "
+            f"{graph.MAX_GN_WORK} (MAX_GN_WORK)\n")
+        assert not (tmp_path / "h.json").exists()
+
+
 class TestCoarsen:
     def test_p3_louvain(self, p3_file, tmp_path):
         out = tmp_path / "h.json"

@@ -814,8 +814,47 @@ def csr_girvan_newman_oracle(g, target=None):
         bet[mine] = edge_betweenness_oracle(sub, ds)
 
 
+def masked_brandes_oracle(a, edges):
+    """The former ``_brandes``: boolean-indexed writes of each level's hop
+    count and path counts, and a ``where=`` divide one level mask at a
+    time."""
+    n, k = len(a), 0
+    d = np.eye(n, dtype=np.int32) - 1
+    level = sigma = np.eye(n)
+    while True:
+        nxt = level @ a
+        nxt[d >= 0] = 0.0
+        new = nxt > 0.0
+        if not new.any():
+            break
+        k += 1
+        d[new] = k
+        sigma += nxt
+        level = nxt
+    delta, w = np.zeros((n, n)), np.zeros((n, n))
+    below = d == k
+    for k in range(k, 0, -1):
+        on, below = below, d == k - 1
+        np.divide(1.0 + delta, sigma, out=w, where=on)
+        delta += ((w * on) @ a) * sigma * below
+    u, v = edges.T
+    du, dv = d[:, u], d[:, v]
+    return d, ((dv == du + 1) * sigma[:, u] * w[:, v]
+               + (du == dv + 1) * sigma[:, v] * w[:, u]).sum(axis=0) / 2.0
+
+
+def assert_same_as_masked_brandes(g):
+    a, edges = dense_adjacency(g), g.edge_array()
+    d, bet = _brandes(a, edges)
+    want_d, want_bet = masked_brandes_oracle(a, edges)
+    assert d.dtype == want_d.dtype and d.tobytes() == want_d.tobytes()
+    assert bet.dtype == want_bet.dtype
+    assert bet.tobytes() == want_bet.tobytes()
+    return d, bet
+
+
 def assert_same_as_csr_girvan_newman(g):
-    d, bet = _brandes(dense_adjacency(g), g.edge_array())
+    d, bet = assert_same_as_masked_brandes(g)
     want_d = spd_all_pairs(g)
     assert d.dtype == want_d.dtype and d.tobytes() == want_d.tobytes()
     assert bet.dtype == np.float64
@@ -830,7 +869,9 @@ def assert_same_as_csr_girvan_newman(g):
 
 class TestDenseBrandesAgainstCsr:
     """One dense Brandes pass per removal equals the former CSR path:
-    distances, betweenness bytes and partitions."""
+    distances, betweenness bytes and partitions. Its distances and
+    betweenness bytes also equal the masked pass, unreachable pairs
+    included."""
 
     @settings(max_examples=100, deadline=None)
     @given(small_graphs())
@@ -861,6 +902,36 @@ class TestDenseBrandesAgainstCsr:
         assert d.max() == n // 2
         # each edge of a 2k-cycle lies on k(k - 1)/2 paths of pairs closer
         # than k and on k antipodal paths of weight 1/2: k^2 / 2 in all
+        np.testing.assert_array_equal(bet, np.full(n, (n // 2) ** 2 / 2))
+
+
+class TestBrandesAgainstMaskedOracle:
+    """Hop counting and 0/1 mask products give the masked writes' bytes
+    (random graphs: ``TestDenseBrandesAgainstCsr``)."""
+
+    @pytest.mark.parametrize("make", [
+        dodecahedron_graph, desargues_graph,
+        lambda: generalized_petersen(30, 7),
+        lambda: make_graph(400, [(i, (i + 1) % 400) for i in range(400)]),
+    ], ids=["dodecahedron", "desargues", "GP(30,7)", "cycle(400)"])
+    def test_named_graphs(self, make):
+        assert_same_as_masked_brandes(make())
+
+    def test_peak_per_pair_on_a_long_ring(self):
+        # the backward sweep holds d and seven n x n float arrays (60 B per
+        # pair), and on a ring the final gathers reach about as much;
+        # masked_brandes_oracle peaks at 80 B per pair here
+        n = 1000
+        g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+        a = dense_adjacency(g)
+        tracemalloc.start()
+        try:
+            d, bet = _brandes(a, g.edge_array())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 61 * n * n
+        assert d.max() == n // 2
         np.testing.assert_array_equal(bet, np.full(n, (n // 2) ** 2 / 2))
 
 
@@ -966,6 +1037,27 @@ class TestGirvanNewman:
             monkeypatch.setattr(graph, "MAX_PAIRS", count - 1)
             with pytest.raises(MemoryError, match=f"limit of {count - 1}"):
                 girvan_newman(g)
+
+    def test_work_limit_refuses_before_allocating(self, monkeypatch):
+        # n * m * (n^2 + 40 m) units: one unit over the (lowered) limit is
+        # refused with the limit in the message, before the n x n adjacency
+        g = ring_of_cliques(8, 4)
+        n, m = g.num_nodes, g.num_edges
+        work = n * m * (n * n + 40 * m)
+        monkeypatch.setattr(graph, "MAX_GN_WORK", work)
+        np.testing.assert_array_equal(girvan_newman(g).assign,
+                                      girvan_newman_oracle(g).assign)
+        monkeypatch.setattr(graph, "MAX_GN_WORK", work - 1)
+        monkeypatch.setattr(coarsen, "_brandes", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryError,
+                               match=fr"limit of {work - 1} \(MAX_GN_WORK\)"):
+                girvan_newman(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
 
     def test_betweenness_star_center(self):
         # star with 4 spokes: a spoke carries the one shortest path from its
