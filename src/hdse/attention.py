@@ -24,6 +24,12 @@ one contiguous array and its gradient is read back without a copy. Sums
 over the keys run in key order, so a graph's result does not depend on the
 batch it runs in.
 
+The kernels write the logits, their gradient, the Q/K/V projection and the
+query and key gradients into an optional workspace, a dict of buffers, and
+allocate afresh without one; results are bitwise equal either way. A
+``BiasedAttentionLayer`` owns one and drops it when its input's shape
+changes, so a fixed-shape training batch reuses its buffers every epoch.
+
 Everything is plain numpy in float64; backward passes are written by hand and
 checked against central finite differences in the test suite.
 """
@@ -217,24 +223,38 @@ def _split_heads(y, b: int, rows: int, parts: int, p: AttentionParams):
     return y.reshape(b, rows, parts, p.heads, p.head_dim).transpose(2, 0, 3, 1, 4)
 
 
+def _buffer(ws: dict | None, key: str, shape: tuple) -> np.ndarray:
+    """An uninitialized float64 array of ``shape``: ``ws[key]`` when it has
+    that shape, else a new array, kept as ``ws[key]`` if ``ws`` is a dict."""
+    if ws is None:
+        return np.empty(shape)
+    buf = ws.get(key)
+    if buf is None or buf.shape != shape:
+        buf = ws[key] = np.empty(shape)
+    return buf
+
+
 def attention_forward(x: np.ndarray, params: AttentionParams,
                       bias: np.ndarray | None = None,
-                      x_ctx: np.ndarray | None = None):
+                      x_ctx: np.ndarray | None = None,
+                      ws: dict | None = None):
     """Biased (multi-head) attention over one graph, ``x`` (n, model_dim).
 
     ``x_ctx`` (m, model_dim) supplies the key/value side; when None this is
     self-attention. ``bias`` is (n, m, heads) or None for no bias. Returns
-    (out, cache), out (n, heads * head_dim): the batch-of-one ``_attention``.
+    (out, cache), out (n, heads * head_dim): the batch-of-one ``_attention``,
+    which takes ``ws``.
     """
     out, cache = _attention(x[None], params,
                             None if bias is None else bias[None],
-                            None if x_ctx is None else x_ctx[None])
+                            None if x_ctx is None else x_ctx[None], ws)
     return out[0], cache
 
 
 def _attention(x: np.ndarray, params: AttentionParams,
                bias: np.ndarray | None = None,
-               x_ctx: np.ndarray | None = None):
+               x_ctx: np.ndarray | None = None,
+               ws: dict | None = None):
     """attention_forward over B graphs at once: ``x`` (B, n, model_dim),
     ``x_ctx`` (B, m, model_dim) and ``bias`` (B, n, m, heads).
 
@@ -243,6 +263,13 @@ def _attention(x: np.ndarray, params: AttentionParams,
     head_dim). The logits are key-major (see the module docstring), so a
     bias from ``bias_matrix`` adds as one contiguous array, and
     ``cache["attn"]`` is a (B, heads, n, m) view of a (heads, m, B, n) array.
+
+    ``ws`` is the workspace, a dict owned by the caller, or None. The
+    projection and the logits are written into its buffers (allocated on
+    first use, or when a shape differs), and ``cache`` holds views of them:
+    the next call with the same ``ws`` overwrites this call's cache, and
+    ``attention_backward`` must run before it. The output is always a new
+    array.
     """
     if not all(np.isfinite(a).all() for a in (x, x_ctx) if a is not None):
         raise ValueError("non-finite input features")
@@ -254,13 +281,19 @@ def _attention(x: np.ndarray, params: AttentionParams,
     w = np.stack((params.w_q, params.w_k, params.w_v)).transpose(
         2, 0, 1, 3).reshape(d, 3 * width)  # column (part, head, j)
     if x_ctx is None:
-        q, k, v = _split_heads(x.reshape(b * n, d) @ w, b, n, 3, params)
+        qkv = np.matmul(x.reshape(b * n, d), w,
+                        out=_buffer(ws, "qkv", (b * n, 3 * width)))
+        q, k, v = _split_heads(qkv, b, n, 3, params)
     else:
-        (q,) = _split_heads(x.reshape(b * n, d) @ w[:, :width], b, n, 1, params)
-        k, v = _split_heads(ctx.reshape(b * m, d) @ w[:, width:], b, m, 2, params)
+        q_rows = np.matmul(x.reshape(b * n, d), w[:, :width],
+                           out=_buffer(ws, "q", (b * n, width)))
+        kv = np.matmul(ctx.reshape(b * m, d), w[:, width:],
+                       out=_buffer(ws, "kv", (b * m, 2 * width)))
+        (q,) = _split_heads(q_rows, b, n, 1, params)
+        k, v = _split_heads(kv, b, m, 2, params)
     # the logits key-major, (heads, m, B, n): the softmax reduces over axis
     # 1, one pass over all B * n rows per key, not one short row at a time
-    lt = np.empty((params.heads, m, b, n))
+    lt = _buffer(ws, "lt", (params.heads, m, b, n))
     np.matmul(k, q.transpose(0, 1, 3, 2), out=lt.transpose(2, 0, 1, 3))
     lt *= 1.0 / np.sqrt(params.head_dim)
     if bias is not None:
@@ -277,13 +310,16 @@ def _attention(x: np.ndarray, params: AttentionParams,
     return out, dict(x=x, ctx=ctx, q=q, k=k, v=v, attn=attn, params=params)
 
 
-def attention_backward(d_out: np.ndarray, cache: dict):
+def attention_backward(d_out: np.ndarray, cache: dict,
+                       ws: dict | None = None):
     """Backward pass of ``_attention`` for ``d_out`` (B, n, heads * head_dim).
 
     Returns (d_wq, d_wk, d_wv, d_logits): weight gradients summed over the
     batch, and the (B, heads, n, m) gradient of the pre-softmax logits, and
     so of an additive bias. Like ``cache["attn"]``, ``d_logits`` is a view of
-    a contiguous key-major (heads, m, B, n) array.
+    a contiguous key-major (heads, m, B, n) array. With a workspace ``ws``,
+    that array and the query and key gradients are its buffers, so
+    ``d_logits`` holds until the next backward pass with the same ``ws``.
     """
     params: AttentionParams = cache["params"]
     x, ctx, q, k, v, attn = (cache[key] for key in "x ctx q k v attn".split())
@@ -292,7 +328,7 @@ def attention_backward(d_out: np.ndarray, cache: dict):
     (d_heads,) = _split_heads(d_out, b, n, 1, params)
     d_v = attn.transpose(0, 1, 3, 2) @ d_heads
     lt = attn.transpose(1, 3, 0, 2)  # key-major, as _attention keeps it
-    dlt = np.empty(lt.shape)  # d_attn, then in place d_logits, key-major
+    dlt = _buffer(ws, "dlt", lt.shape)  # d_attn, then in place d_logits
     np.matmul(v, d_heads.transpose(0, 1, 3, 2), out=dlt.transpose(2, 0, 1, 3))
     # the row dot (d_attn * attn).sum over keys, one head at a time, so the
     # product is one head's block, not all heads'; each sum keeps key order
@@ -300,8 +336,11 @@ def attention_backward(d_out: np.ndarray, cache: dict):
         dh -= (dh * ah).sum(axis=0)
     dlt *= lt
     d_logits = dlt.transpose(2, 0, 3, 1)
-    d_q = (d_logits @ k) * scale
-    d_k = (d_logits.transpose(0, 1, 3, 2) @ q) * scale
+    d_q = np.matmul(d_logits, k, out=_buffer(ws, "d_q", q.shape))
+    d_q *= scale
+    d_k = np.matmul(d_logits.transpose(0, 1, 3, 2), q,
+                    out=_buffer(ws, "d_k", k.shape))
+    d_k *= scale
     # tensordot: one (d, B * rows) @ (B * rows, heads * head_dim) GEMM each
     return tuple(np.tensordot(a, g, axes=([0, 1], [0, 2])).transpose(1, 0, 2)
                  for a, g in ((x, d_q), (ctx, d_k), (ctx, d_v))) + (d_logits,)
@@ -320,18 +359,30 @@ class BiasedAttentionLayer:
     (B, n, m, levels), ``x_ctx`` is (B, m, d), and the output is
     (B, n, heads * head_dim). ``keys``, if given, is ``code_keys(codes,
     bias)``.
+
+    The layer owns the kernel's workspace (see ``_attention``). ``forward``
+    drops it, together with the last call's activations, when ``x.shape``
+    or ``x_ctx``'s shape differs from the last call's, before anything of
+    the new call is allocated; calls of one shape reuse its buffers.
+    ``backward`` differentiates the most recent ``forward``: that call
+    overwrote the logits and projections of any earlier one in place.
     """
 
     def __init__(self, attn: AttentionParams, bias: BiasParams | None = None):
         self.attn = attn
         self.bias = bias
         self._cache = None
+        self._ws: dict[str, np.ndarray] = {}
+        self._shape = None  # the (x, x_ctx) shapes the workspace was sized for
 
     def forward(self, x: np.ndarray, codes: np.ndarray | None = None,
                 x_ctx: np.ndarray | None = None,
                 keys: tuple[np.ndarray, np.ndarray] | None = None
                 ) -> np.ndarray:
         self._cache = None  # free the last call's activations before this one
+        shape = (x.shape, None if x_ctx is None else x_ctx.shape)
+        if shape != self._shape:  # and its buffers, if they will not fit
+            self._ws, self._shape = {}, shape
         batched = x.ndim == 3
         bias, bias_cache = None, None
         if codes is not None:
@@ -348,17 +399,17 @@ class BiasedAttentionLayer:
             bias = bias.reshape(codes.shape[:-1] + (self.bias.heads,))
         # a batch skips attention_forward, whose perfbench hook reads 2-D x
         kernel = _attention if batched else attention_forward
-        out, cache = kernel(x, self.attn, bias, x_ctx)
+        out, cache = kernel(x, self.attn, bias, x_ctx, self._ws)
         self._cache = (cache, bias_cache)
         return out
 
     def backward(self, d_out: np.ndarray) -> dict[str, np.ndarray]:
         """Gradients keyed by parameter name, each shaped like the parameter
-        of that name in ``parameters()``."""
+        of that name in ``parameters()``, for the last ``forward`` call."""
         if self._cache is None:
             raise RuntimeError("backward called before forward")
         cache, bias_cache = self._cache
-        *grads, d_logits = attention_backward(d_out, cache)
+        *grads, d_logits = attention_backward(d_out, cache, self._ws)
         if bias_cache is not None:  # (B * n, m, heads) view of d_logits
             b, heads, n, m = d_logits.shape
             grads += bias_backward(

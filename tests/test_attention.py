@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -828,3 +831,172 @@ class TestEmptyGraph:
         for name, arr in layer.parameters():
             assert np.all(g[name] == 0.0)
             assert g[name].shape == arr.shape
+
+
+def unbuffered_step(layer, x, codes, x_ctx, d_out):
+    """The layer's forward and backward, run through the kernels with no
+    workspace: (out, gradients in ``parameters()`` order)."""
+    p = layer.bias
+    bias, bias_cache = bias_matrix(codes.reshape(-1, *codes.shape[-2:]), p)
+    bias = bias.reshape(codes.shape[:-1] + (p.heads,))
+    if x.ndim == 3:
+        out, cache = _attention(x, layer.attn, bias, x_ctx)
+    else:
+        out, cache = attention_forward(x, layer.attn, bias, x_ctx)
+    *grads, d_logits = attention_backward(d_out, cache)
+    b, heads, n, m = d_logits.shape
+    grads += bias_backward(
+        d_logits.transpose(0, 2, 3, 1).reshape(b * n, m, heads), bias_cache)
+    return out, grads
+
+
+class TestWorkspace:
+    """The layer's workspace: buffers reused while the input shape stays,
+    dropped when it changes, and results bitwise equal to the kernels run
+    without one."""
+
+    def make_layer(self, rng, levels=2):
+        return BiasedAttentionLayer(init_attention_params(5, 2, 3, rng),
+                                    init_bias_params(levels, 5, 3, 3, 2, rng))
+
+    def inputs(self, rng, batch, linear, n=6):
+        lead = () if batch is None else (batch,)
+        m = 4 if linear else n
+        x = rng.standard_normal(lead + (n, 5))
+        ctx = rng.standard_normal(lead + (m, 5)) if linear else None
+        codes = rng.integers(0, 7, lead + (n, m, 2))
+        return x, ctx, codes, rng.standard_normal(lead + (n, 6))
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_steps_equal_kernels_without_workspace(self, linear, batch):
+        rng = np.random.default_rng(40)
+        layer = self.make_layer(rng)
+        for _ in range(4):  # same shape, new values, parameters updated
+            x, ctx, codes, d_out = self.inputs(rng, batch, linear)
+            want, want_grads = unbuffered_step(layer, x, codes, ctx, d_out)
+            out = layer.forward(x, codes, x_ctx=ctx)
+            grads = layer.backward(d_out)
+            assert np.array_equal(out, want)
+            for (name, _), g in zip(layer.parameters(), want_grads):
+                assert np.array_equal(grads[name], g), name
+            layer.apply_gradients(grads, 0.5)
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_same_shape_calls_share_the_logits(self, linear, batch):
+        rng = np.random.default_rng(41)
+        layer = self.make_layer(rng)
+        x, ctx, codes, _ = self.inputs(rng, batch, linear)
+        layer.forward(x, codes, x_ctx=ctx)
+        first = layer._cache[0]["attn"]
+        layer.forward(x + 1.0, codes, x_ctx=ctx)
+        assert np.shares_memory(first, layer._cache[0]["attn"])
+        # a different shape gets new buffers
+        layer.forward(x[..., :5, :], codes[..., :5, :, :] if linear
+                      else codes[..., :5, :5, :], x_ctx=ctx)
+        assert not np.shares_memory(first, layer._cache[0]["attn"])
+
+    @pytest.mark.parametrize("with_codes", [True, False])
+    def test_shape_change_frees_buffers_before_allocating(self, monkeypatch,
+                                                          with_codes):
+        # the old buffers are gone when bias_matrix and the kernel start, so
+        # the two shapes' buffers are never held at once
+        rng = np.random.default_rng(42)
+        layer = self.make_layer(rng)
+        x, _, codes, d_out = self.inputs(rng, 3, False)
+        layer.forward(x, codes)
+        layer.backward(d_out)
+        old = [weakref.ref(buf) for buf in layer._ws.values()]
+        assert len(old) == 5  # qkv, lt, dlt, d_q, d_k
+        alive = []
+
+        def spy(fn):
+            def call(*args, **kwargs):
+                alive.append(sum(ref() is not None for ref in old))
+                return fn(*args, **kwargs)
+            return call
+
+        monkeypatch.setattr(attention_mod, "bias_matrix",
+                            spy(attention_mod.bias_matrix))
+        monkeypatch.setattr(attention_mod, "_attention",
+                            spy(attention_mod._attention))
+        x2, _, codes2, _ = self.inputs(rng, 3, False, n=7)
+        layer.forward(x2, codes2 if with_codes else None)
+        assert alive == ([0, 0] if with_codes else [0])
+
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("batch", [None, 3])
+    def test_backward_follows_the_last_forward(self, linear, batch):
+        # backward differentiates the last forward, whose logits overwrote
+        # the earlier call's in the shared buffers
+        rng = np.random.default_rng(43)
+        layer = self.make_layer(rng)
+        x1, ctx1, codes1, d_out = self.inputs(rng, batch, linear)
+        x2, ctx2, codes2, _ = self.inputs(rng, batch, linear)
+        layer.forward(x1, codes1, x_ctx=ctx1)
+        out = layer.forward(x2, codes2, x_ctx=ctx2)
+        grads = layer.backward(d_out)
+        want, want_grads = unbuffered_step(layer, x2, codes2, ctx2, d_out)
+        assert np.array_equal(out, want)
+        for (name, _), g in zip(layer.parameters(), want_grads):
+            assert np.array_equal(grads[name], g), name
+
+    def test_kernel_resizes_a_buffer_of_another_shape(self):
+        # a direct caller may pass one workspace at several shapes
+        rng = np.random.default_rng(46)
+        params = init_attention_params(5, 2, 3, rng)
+        ws = {}
+        for n in (4, 6, 4):
+            x = rng.standard_normal((2, n, 5))
+            d_out = rng.standard_normal((2, n, 6))
+            out, cache = _attention(x, params, None, None, ws)
+            got = attention_backward(d_out, cache, ws)
+            want_out, want_cache = _attention(x, params)
+            want = attention_backward(d_out, want_cache)
+            assert ws["lt"].shape == ws["dlt"].shape == (2, n, 2, n)
+            assert np.array_equal(out, want_out)
+            for g, w in zip(got, want):
+                assert np.array_equal(g, w)
+
+    def test_single_graph_goes_through_attention_forward(self, monkeypatch):
+        rng = np.random.default_rng(44)
+        layer = self.make_layer(rng)
+        calls = []
+        forward = attention_mod.attention_forward
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(attention_mod, "attention_forward", counted)
+        x, _, codes, _ = self.inputs(rng, None, False)
+        layer.forward(x, codes)
+        layer.forward(x)
+        assert len(calls) == 2
+        assert all(args[-1] is layer._ws for args in calls)
+        xb, _, codes_b, _ = self.inputs(rng, 3, False)
+        layer.forward(xb, codes_b)
+        assert len(calls) == 2  # a batch calls _attention itself
+
+    def test_warm_step_allocates_nothing_as_large_as_the_logits(self):
+        # the demo's shape: 20 graphs of 30 nodes, 4 heads of 8, 32 features;
+        # unbiased, since the bias planes are a new block of that size
+        rng = np.random.default_rng(45)
+        layer = BiasedAttentionLayer(init_attention_params(32, 4, 8, rng))
+        x = rng.standard_normal((20, 30, 32))
+        d_out = rng.standard_normal((20, 30, 32))
+        logits_bytes = 4 * 30 * 20 * 30 * 8
+        for _ in range(2):
+            layer.forward(x)
+            layer.backward(d_out)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            layer.forward(x)
+            layer.backward(d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # any block allocated adds its whole size to the peak
+        assert peak - start < logits_bytes

@@ -391,6 +391,40 @@ class TestInterrupt:
         assert err == "error: interrupted\n" and out == ""
         assert not (tmp_path / "m.csv").exists()
 
+    def test_while_importing(self, tmp_path):
+        # the console script's module imports hdse inside its own try; a
+        # shadow package that raises on import stands in for a Ctrl-C that
+        # lands while numpy and the modules load
+        (tmp_path / "hdse").mkdir()
+        (tmp_path / "hdse" / "__init__.py").write_text(
+            "raise KeyboardInterrupt\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(tmp_path), str(SRC)]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hdse_entry", "named-graph", "petersen"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 130, proc.stderr
+        assert proc.stderr == "error: interrupted\n" and proc.stdout == ""
+
+
+class TestConsoleScript:
+    """The ``hdse`` script runs ``hdse_entry.main``, which runs ``cli.main``."""
+
+    def test_pyproject_points_at_the_entry_module(self):
+        text = (SRC.parent / "pyproject.toml").read_text()
+        assert 'hdse = "hdse_entry:main"' in text.splitlines()
+
+    def test_same_output_and_exit_codes_as_the_cli(self, tmp_path):
+        for args in (["named-graph", "dodecahedron"],
+                     ["named-graph", "petersen"]):
+            got = subprocess.run(
+                [sys.executable, "-m", "hdse_entry", *args], cwd=tmp_path,
+                env=cli_env(), capture_output=True, text=True, timeout=60)
+            want = run_cli(*args, cwd=tmp_path)
+            assert (got.returncode, got.stdout, got.stderr) == (
+                want.returncode, want.stdout, want.stderr)
+        assert want.returncode == 3  # petersen takes no size
+
 
 class TestPairLimit:
     """All-pairs work past graph.MAX_PAIRS exits 2 before allocating."""
