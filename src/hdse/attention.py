@@ -127,7 +127,8 @@ def code_keys(codes: np.ndarray,
     [0, clip + 1]; its pairs are taken in C order. Returns (tuples,
     inverse): the distinct code tuples, (count, levels), in lexicographic
     order, and the tuple id of each pair. Tuples are numbered by
-    ``tuple_keys``, which needs no sort while the codes span few values.
+    ``tuple_keys``, refinement's fold and rank, with no sort while the
+    codes span few values.
     A caller whose codes do not change computes this once and passes it
     to every ``bias_matrix`` call.
     """

@@ -83,17 +83,19 @@ def cmd_coarsen(args) -> int:
 
 def cmd_encode(args) -> int:
     h = _load(args.hierarchy, coarsen.hierarchy_from_json)
+    levels = h.max_level + 1 - args.base_level
+    if args.format == "bin" and levels > 255:  # refused before encoding
+        raise graph.GraphValidationError(
+            f"{levels} levels: the binary tensor format holds at most 255; "
+            "use --format json")
     t = (distance.high_level_hdse(h, args.base_level, clip=args.clip)
          if args.base_level else distance.hdse(h, clip=args.clip))
     entries, clip = t.entries, t.clip
     if args.format == "json":
         _write_output(distance.tensor_to_json(entries, clip) + "\n", args.output)
     else:
-        try:
-            payload = distance.write_tensor(entries, clip)
-        except graph.GraphValidationError as e:
-            raise graph.GraphValidationError(f"{e}; use --format json") from e
-        _write_output(payload, args.output, binary=True)
+        _write_output(distance.write_tensor(entries, clip), args.output,
+                      binary=True)
     print(f"tensor dims {entries.shape[0]} x {entries.shape[1]} "
           f"x {entries.shape[2]}, clip {clip}", file=sys.stderr)
     return EXIT_OK

@@ -11,11 +11,15 @@ pairs. Level 0 is the shortest-path distance (SPD), so the clipped SPD
 encoding is the K = 0 slice of ``hdse``. Raw distances mark unreachable
 pairs ``UNREACHABLE``; their code is ``clip + 1``, distinct from a distance
 that saturates at ``clip``.
+
+Refinement and the attention bias number the pairs' code tuples through one
+fold, ``fold_rows``, and one dense rank, ``rank_ids``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 
@@ -163,54 +167,80 @@ class HdseTensor:
     clip: int
 
 
-# Folded keys are re-densified once their bound passes this, so that a key
+# Folded ids are re-densified once their bound passes this, so that an id
 # times the next column's span stays far inside int64.
 _KEY_LIMIT = 2 ** 32
 
 
-def _dense_ids(keys: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
-    """Ids in [0, count) of int64 keys in [0, bound), in key order, and count.
+def rank_ids(ids: list[np.ndarray], bound: int) -> int:
+    """Replace ids in [0, bound) in place by joint dense ranks; their count.
 
-    A bound of at most the key count is bucketed: a presence array over
-    [0, bound) numbered by ``cumsum``, with no sort. A larger bound falls
-    back to ``np.unique``. Both give each key its rank among the distinct
-    keys.
+    Ranks keep the ids' order. A bound of at most the id count is bucketed
+    (a presence array numbered by ``cumsum``, no sort); a larger one ranks
+    each block's ``np.unique`` by ``searchsorted``, one block at a time.
     """
-    if bound > len(keys):
-        uniq, ids = np.unique(keys, return_inverse=True)
-        return ids, len(uniq)
-    present = np.zeros(bound, dtype=bool)
-    present[keys] = True
-    rank = np.cumsum(present) - 1
-    return rank[keys], int(rank[-1]) + 1
+    if bound <= sum(i.size for i in ids):
+        present = np.zeros(bound, dtype=bool)
+        for i in ids:
+            present[i] = True
+        rank = np.cumsum(present) - 1
+        for i in ids:
+            i[...] = rank[i]
+        return int(rank[-1]) + 1
+    distinct = np.unique(np.concatenate([np.unique(i) for i in ids]))
+    for i in ids:
+        i[...] = np.searchsorted(distinct, i)
+    return len(distinct)
+
+
+def fold_rows(blocks: list[np.ndarray]) -> tuple[list[np.ndarray], int]:
+    """Joint ids of the rows of same-width 2-D integer blocks; their bound.
+
+    Equal rows get equal ids in [0, bound), in the rows' joint
+    lexicographic order, not necessarily dense. Columns are folded in
+    turn, in place, into each block's slice of one id array: id * span +
+    value - lo, with lo and span the column's minimum and value count over
+    all blocks, widened to take in 0. The ids are int32 while the spans
+    multiply to less than 2**31, else int64 and re-ranked (``rank_ids``)
+    whenever their bound passes ``_KEY_LIMIT``: with columns of fewer than
+    2**31 values each and fewer than 2**31 rows, no product overflows.
+    """
+    width = blocks[0].shape[1]
+    los = [min(int(b[:, j].min(initial=0)) for b in blocks)
+           for j in range(width)]  # a min over axis 0 is slower
+    spans = [max(int(b[:, j].max(initial=0)) for b in blocks) - lo + 1
+             for j, lo in enumerate(los)]
+    dtype = np.int32 if math.prod(spans) < 2 ** 31 else np.int64
+    # one np.empty array: np.zeros, or one per block, page-faults each call
+    sizes = np.cumsum([len(b) for b in blocks])
+    flat = (np.empty if width else np.zeros)(sizes[-1], dtype=dtype)
+    ids = np.split(flat, sizes[:-1])
+    bound = 1  # ids < bound
+    for j, (lo, span) in enumerate(zip(los, spans)):
+        for i, b in zip(ids, blocks):
+            if j:  # both branches cast any integer column to dtype
+                i *= span
+                np.add(i, b[:, j], out=i, dtype=dtype, casting="unsafe")
+            else:
+                i[...] = b[:, 0]
+            if lo:
+                i -= lo
+        bound *= span
+        if bound > _KEY_LIMIT:
+            bound = rank_ids(ids, bound)
+    return ids, bound
 
 
 def tuple_keys(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Dense ids of the rows of a 2-D integer array and their count.
 
     Equal rows get equal ids, and ids are in [0, count) for count distinct
-    rows, numbered in the rows' lexicographic order.
-    Columns are folded into the key in turn: key * span + (value - lo), with
-    lo the column minimum (or 0 if that is larger) and span the count of
-    values from lo to the maximum, so distinct rows get distinct keys. The
-    running key is re-densified whenever its bound passes ``_KEY_LIMIT``,
-    and once more at the end. So for any number of columns, each spanning
-    fewer than 2**31 values, and fewer than 2**31 rows, no product
-    overflows.
+    rows, numbered in the rows' lexicographic order: ``fold_rows``'s ids,
+    ranked by ``rank_ids``, as an index array.
     """
-    keys = np.zeros(len(rows), dtype=np.int64)
-    bound = 1  # keys < bound
-    for col in rows.T:
-        col = col.astype(np.int64)  # a copy, folded in place
-        lo = col.min(initial=0)
-        span = int(col.max(initial=0) - lo) + 1
-        col -= lo
-        keys *= span
-        keys += col
-        bound *= span
-        if bound > _KEY_LIMIT:
-            keys, bound = _dense_ids(keys, bound)
-    return _dense_ids(keys, bound)
+    (ids,), bound = fold_rows([rows])
+    count = rank_ids([ids], bound)
+    return ids.astype(np.intp, copy=False), count
 
 
 def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
@@ -304,6 +334,11 @@ def read_tensor(data: bytes) -> tuple[np.ndarray, int]:
 
 
 def tensor_to_json(entries: np.ndarray, clip: int) -> str:
-    obj = {"shape": list(entries.shape), "clip": clip,
-           "entries": entries.tolist()}
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Compact JSON of {"clip", "entries", "shape"}, keys sorted.
+
+    Built one row at a time, so only one row's nested lists exist at once.
+    """
+    rows = ",".join(json.dumps(row.tolist(), separators=(",", ":"))
+                    for row in entries)
+    shape = ",".join(map(str, entries.shape))
+    return f'{{"clip":{clip},"entries":[{rows}],"shape":[{shape}]}}'

@@ -3,10 +3,11 @@
 Each iteration recolors a node by the multiset of (distance-to-u,
 color-of-u) pairs over all nodes u. The distance can be the plain
 shortest-path distance or the full per-pair hierarchy distance vector.
-Each pair's distance key is folded once into one int32 pair id that keeps
-the keys' order; the ids need not be dense, since only their order reaches
-the colors. They are ranked densely only when sparse ids would make the
-refinement steps' keys int64.
+Each pair's distance key is folded once into one pair id that keeps the
+keys' order, by ``distance.fold_rows``; the ids need not be dense, since
+only their order reaches the colors. They are ranked densely, by
+``distance.rank_ids``, only when sparse ids would make the refinement
+steps' keys int64.
 
 One loop refines one graph or a pair in lockstep. Colors are dense ids,
 renumbered every iteration jointly over the graphs refined together: within
@@ -20,7 +21,6 @@ stops when no graph gains a color, within max(1, n1, n2) steps.
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .coarsen import build_hierarchy
-from .distance import check_clip, hdse, spd_all_pairs, tuple_keys
+from .distance import check_clip, fold_rows, hdse, rank_ids, spd_all_pairs
 from .graph import Graph, GraphValidationError, make_graph
 
 
@@ -115,52 +115,13 @@ def _dense_rows(blocks: list[np.ndarray]) -> list[np.ndarray]:
 def _pair_ids(keys: list[np.ndarray]) -> list[np.ndarray]:
     """(n, n) id per node pair, jointly: equal distance keys share an id.
 
-    Ids keep the keys' lexicographic order but are not dense. Each graph's
-    keys are folded column by column, ``id * span + value``, in place into
-    its slice of one int32 array, then shifted by the fold of the column
-    minima (each at most 0) so that no id is negative; span is the count of
-    values a column takes across all graphs. Refinement compares ids only
-    by their order, so colours are the same as from dense ranks. When the
-    product of the spans reaches 2**31, the ids are ``tuple_keys``'s dense
-    int64 ranks instead. SPD's one column folds to d, or to d + 1 when some
+    The ids are ``fold_rows``'s, which keep the keys' lexicographic order
+    but need not be dense: int32 while the keys' column spans multiply to
+    less than 2**31. SPD's one column folds to d, or to d + 1 when some
     pair is unreachable.
     """
-    rows = [k.reshape(-1, k.shape[-1]) for k in keys]
-    bounds = np.cumsum([len(r) for r in rows])[:-1]
-    los, spans = [], []
-    for j in range(keys[0].shape[-1]):  # a min over axis 0 is slower
-        los.append(min(int(r[:, j].min(initial=0)) for r in rows))
-        spans.append(max(int(r[:, j].max(initial=0)) for r in rows)
-                     - los[-1] + 1)
-    if math.prod(spans) >= 2 ** 31:
-        ids, _ = tuple_keys(np.concatenate(rows))
-    else:
-        ids = np.empty(sum(len(r) for r in rows), dtype=np.int32)
-        offset = 0
-        for lo, span in zip(los, spans):
-            offset = offset * span + lo
-        for seg, r in zip(np.split(ids, bounds), rows):
-            seg[:] = r[:, 0]
-            for j, span in enumerate(spans[1:], 1):
-                seg *= span
-                seg += r[:, j]
-            if offset:
-                seg -= offset
-    return [part.reshape(len(k), len(k))
-            for part, k in zip(np.split(ids, bounds), keys)]
-
-
-def _rank_pair_ids(pairs: list[np.ndarray]) -> int:
-    """Replace pair ids in place by their joint dense ranks; return the top.
-
-    Ranks keep the ids' order, so refinement gives the same colours. Each
-    graph's distinct ids are found on its own, so the extra memory is one
-    graph's ids at a time.
-    """
-    distinct = np.unique(np.concatenate([np.unique(p) for p in pairs]))
-    for p in pairs:
-        p[...] = np.searchsorted(distinct, p)
-    return len(distinct) - 1
+    ids, _ = fold_rows([k.reshape(-1, k.shape[-1]) for k in keys])
+    return [i.reshape(len(k), len(k)) for i, k in zip(ids, keys)]
 
 
 def _initial_colors(graphs: list[Graph]) -> list[np.ndarray]:
@@ -202,7 +163,7 @@ def _refine(graphs: list[Graph], enc: Encoding) -> list[ColorMap]:
     if (top + 1) * sum(len(p) for p in pairs) >= 2 ** 31:
         # step keys are pair id * colour count + colour, with at most
         # n1 + n2 colours: past int32, rank the sparse ids densely first
-        top = _rank_pair_ids(pairs)
+        top = rank_ids(pairs, top + 1) - 1
     colors = _initial_colors(graphs)
     cms = [ColorMap() for _ in graphs]
     for cm, c in zip(cms, colors):

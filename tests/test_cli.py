@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdse import coarsen, graph
+from hdse import coarsen, distance, graph
 from hdse.cli import main
 from hdse.coarsen import girvan_newman, hierarchy_from_json
 from hdse.distance import read_tensor
@@ -607,6 +607,26 @@ class TestEncode:
         out = tmp_path / "t.json"
         assert main(["encode", h, "--format", "json", "-o", str(out)]) == 0
         assert json.loads(out.read_text())["shape"] == [3, 3, 257]
+
+    @pytest.mark.parametrize("levels, base", [("255", "0"), ("256", "1")])
+    def test_too_many_levels_refused_before_encoding(
+            self, p3_file, tmp_path, capsys, monkeypatch, levels, base):
+        # 256 encoded levels: refused from the hierarchy's level count, with
+        # no tensor built, not by write_tensor once the tensor exists
+        h = self.make_hierarchy(p3_file, tmp_path, levels=levels)
+
+        def never(*args, **kwargs):
+            raise AssertionError("the tensor was encoded")
+
+        monkeypatch.setattr(distance, "hdse", never)
+        monkeypatch.setattr(distance, "high_level_hdse", never)
+        capsys.readouterr()
+        out = tmp_path / "t.bin"
+        assert main(["encode", h, "--base-level", base, "-o", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: 256 levels: the binary tensor format holds at most 255; "
+            "use --format json\n")
+        assert not out.exists()
 
 
 class TestGdwl:

@@ -1,3 +1,5 @@
+import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,9 +9,9 @@ from hypothesis import strategies as st
 
 from hdse.coarsen import Partition, build_hierarchy, permute_hierarchy
 from hdse import distance, graph
-from hdse.distance import (UNREACHABLE, ghd, hdse, high_level_hdse,
-                           read_tensor, spd_all_pairs, tuple_keys,
-                           write_tensor)
+from hdse.distance import (UNREACHABLE, fold_rows, ghd, hdse, high_level_hdse,
+                           rank_ids, read_tensor, spd_all_pairs,
+                           tensor_to_json, tuple_keys, write_tensor)
 from hdse.graph import GraphValidationError, NodePermutation, make_graph
 from hdse.refine import cycle_graph
 
@@ -331,6 +333,77 @@ class TestTupleKeys:
         assert_tuple_ids_exact(rng.integers(-1, spread, (rows, cols)))
 
 
+# the regimes of the product of the column spans: int32 ids, int64 ids,
+# and int64 ids re-ranked past _KEY_LIMIT (None: no upper end)
+SPAN_PRODUCTS = [(1, 2 ** 31), (2 ** 31, distance._KEY_LIMIT + 1),
+                 (distance._KEY_LIMIT + 1, None)]
+
+
+@st.composite
+def fold_blocks(draw):
+    """1-3 blocks of one dtype and width, sharing rows and near-copies.
+
+    Column spans, each below 2**31, multiply into a drawn regime; every
+    column holds negative values when its dtype allows.
+    """
+    dtype = draw(st.sampled_from([np.int8, np.uint8, np.int32, np.uint64]))
+    info = np.iinfo(dtype)
+    top = min(int(info.max) - int(info.min) + 1, 2 ** 31 - 1)
+    low, high = draw(st.sampled_from(SPAN_PRODUCTS))
+    width = draw(st.integers(0, 8))
+    spans = []
+    while (product := math.prod(spans)) < low or len(spans) < width:
+        room = top if high is None else (high - 1) // product
+        spans.append(draw(st.integers(2 if product < low else 1,
+                                      min(top, room))))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    pool = np.empty((draw(st.integers(2, 8)), len(spans)), dtype=dtype)
+    for j, span in enumerate(spans):
+        # values in [-below, span - 1 - below], both ends in the pool
+        below = draw(st.integers(max(0, span - 1 - int(info.max)),
+                                 min(span - 1, -int(info.min))))
+        pool[:, j] = rng.integers(-below, span - 1 - below, len(pool),
+                                  endpoint=True)
+        pool[:2, j] = -below, span - 1 - below
+    blocks = []
+    for size in draw(st.lists(st.integers(0, 40), min_size=1, max_size=3)):
+        rows = pool[rng.integers(0, len(pool), size)]
+        if spans and size:
+            # a row that differs from a pool row in one column only
+            j = rng.integers(len(spans))
+            rows[0, j] = rng.integers(pool[:, j].min(), pool[:, j].max(),
+                                      endpoint=True)
+        blocks.append(rows)
+    return blocks
+
+
+class TestFoldRows:
+    @given(fold_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_ids_keep_the_joint_order_then_rank_like_unique(self, blocks):
+        before = [b.copy() for b in blocks]
+        rows = np.concatenate(blocks)
+        spans = [int(max(c.max(initial=0), 0)) - int(min(c.min(initial=0), 0))
+                 + 1 for c in rows.T]
+        ids, bound = fold_rows(blocks)
+        assert [i.shape for i in ids] == [(len(b),) for b in blocks]
+        wide = math.prod(spans) >= 2 ** 31
+        assert all(i.dtype == (np.int64 if wide else np.int32) for i in ids)
+        joint = np.concatenate(ids)
+        assert ((joint >= 0) & (joint < bound)).all()
+        want, count = np.zeros(0, dtype=np.intp), 0
+        if len(rows):
+            uniq, want = np.unique(rows, axis=0, return_inverse=True)
+            want, count = want.ravel(), len(uniq)
+        # equal rows share an id, and ids rise with the rows' order
+        order = np.argsort(want, kind="stable")
+        assert np.array_equal(np.sign(np.diff(joint[order])),
+                              np.sign(np.diff(want[order])))
+        assert rank_ids(ids, bound) == count
+        assert np.array_equal(np.concatenate(ids), want)
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, before))
+
+
 class TestGhd:
     def test_level_zero_is_spd(self):
         g = random_graph(12, 0.3, 1)
@@ -647,6 +720,15 @@ class TestTensorFile:
         assert back_clip == clip
         assert back.dtype == entries.dtype and back.shape == entries.shape
         assert back.tobytes() == entries.tobytes()
+
+    @pytest.mark.parametrize("shape", [(0, 0, 1), (0, 5, 3), (3, 0, 2),
+                                       (7, 4, 3), (2, 3, 300)])
+    def test_json_is_the_bytes_of_json_dumps(self, shape):
+        entries = np.random.default_rng(0).integers(0, 32, shape,
+                                                    dtype=np.uint8)
+        obj = {"shape": list(shape), "clip": 30, "entries": entries.tolist()}
+        assert tensor_to_json(entries, 30) == json.dumps(
+            obj, sort_keys=True, separators=(",", ":"))
 
     def test_header_magic_checked(self):
         with pytest.raises(GraphValidationError):

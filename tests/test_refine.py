@@ -594,19 +594,18 @@ def test_sparse_pair_ids_ranked_peak_is_at_most_17_bytes_per_pair():
 
 def test_ranked_pair_ids_give_the_sparse_ids_colors(monkeypatch):
     graphs, enc = sparse_hem_pair()
-    ranked = refine._rank_pair_ids
+    ranked = refine.rank_ids
     tops = []
 
-    def spy(pairs):
+    def spy(pairs, bound):
         tops.append(max(int(p.max()) for p in pairs))
-        return ranked(pairs)
+        return ranked(pairs, bound)
 
-    monkeypatch.setattr(refine, "_rank_pair_ids", spy)
+    monkeypatch.setattr(refine, "rank_ids", spy)
     got = refine_pair(*graphs, enc)
     assert len(tops) == 1 and (tops[0] + 1) * 2000 >= 2 ** 31
     # the sparse ids as they are, stepped on int64 keys
-    monkeypatch.setattr(refine, "_rank_pair_ids",
-                        lambda pairs: max(int(p.max()) for p in pairs))
+    monkeypatch.setattr(refine, "rank_ids", lambda pairs, bound: bound)
     want = refine_pair(*graphs, enc)
     for a, b in zip(got, want):
         assert len(a.colors) == len(b.colors)
