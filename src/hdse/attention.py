@@ -12,9 +12,8 @@ coarse clusters using the node-to-cluster distance tensor.
 ``BiasedAttentionLayer`` takes one graph, ``x`` of shape (n, d), or a batch of
 B equal-size graphs, (B, n, d), with ``codes`` and ``x_ctx`` carrying the same
 leading axis. A batch runs the bias MLP once over the distinct code tuples of
-all its graphs and the attention kernel once, with Q, K and V from one fused
-projection; gradients are sums over the graphs. An empty graph or batch gives
-an empty output and zero gradients.
+all its graphs and the attention kernel once; gradients are sums over the
+graphs. An empty graph or batch gives an empty output and zero gradients.
 
 The kernel keeps the logits key-major, in one (heads, m, B, n) buffer, and
 hands out its (B, heads, n, m) transposed view. The softmax and its backward
@@ -259,8 +258,9 @@ def _attention(x: np.ndarray, params: AttentionParams,
     """attention_forward over B graphs at once: ``x`` (B, n, model_dim),
     ``x_ctx`` (B, m, model_dim) and ``bias`` (B, n, m, heads).
 
-    Q, K and V come from one GEMM over all B * n rows (the linear variant: Q
-    from ``x``, K and V from ``x_ctx``). Activations are (B, heads, rows,
+    Q is projected from ``x`` and K, V from the context (``x_ctx``, or ``x``
+    itself for self-attention): one GEMM over all B * n rows and one over
+    all B * m, written into one buffer. Activations are (B, heads, rows,
     head_dim). The logits are key-major (see the module docstring), so a
     bias from ``bias_matrix`` adds as one contiguous array, and
     ``cache["attn"]`` is a (B, heads, n, m) view of a (heads, m, B, n) array.
@@ -281,17 +281,14 @@ def _attention(x: np.ndarray, params: AttentionParams,
     m, width = ctx.shape[1], params.heads * params.head_dim
     w = np.stack((params.w_q, params.w_k, params.w_v)).transpose(
         2, 0, 1, 3).reshape(d, 3 * width)  # column (part, head, j)
-    if x_ctx is None:
-        qkv = np.matmul(x.reshape(b * n, d), w,
-                        out=_buffer(ws, "qkv", (b * n, 3 * width)))
-        q, k, v = _split_heads(qkv, b, n, 3, params)
-    else:
-        q_rows = np.matmul(x.reshape(b * n, d), w[:, :width],
-                           out=_buffer(ws, "q", (b * n, width)))
-        kv = np.matmul(ctx.reshape(b * m, d), w[:, width:],
-                       out=_buffer(ws, "kv", (b * m, 2 * width)))
-        (q,) = _split_heads(q_rows, b, n, 1, params)
-        k, v = _split_heads(kv, b, m, 2, params)
+    # Q's rows, then K's and V's side by side, in one buffer
+    proj = _buffer(ws, "proj", (b * (n + 2 * m) * width,))
+    q_rows = np.matmul(x.reshape(b * n, d), w[:, :width],
+                       out=proj[:b * n * width].reshape(b * n, width))
+    kv = np.matmul(ctx.reshape(b * m, d), w[:, width:],
+                   out=proj[b * n * width:].reshape(b * m, 2 * width))
+    (q,) = _split_heads(q_rows, b, n, 1, params)
+    k, v = _split_heads(kv, b, m, 2, params)
     # the logits key-major, (heads, m, B, n): the softmax reduces over axis
     # 1, one pass over all B * n rows per key, not one short row at a time
     lt = _buffer(ws, "lt", (params.heads, m, b, n))

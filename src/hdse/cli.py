@@ -10,6 +10,7 @@ Diagnostics go to stderr; payloads to files or stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -42,24 +43,22 @@ def _load_graph(path: str) -> graph.Graph:
                  else graph.load_edge_list)
 
 
-def _write_output(payload, out_path: str | None, binary: bool = False) -> None:
-    """Write the payload to ``out_path``, or else to stdout in full.
-
-    Stdout gets bytes in a loop until all are written: with
-    ``PYTHONUNBUFFERED=1`` its binary layer is the raw file, whose ``write``
-    may take only part of a payload.
-    """
+def _write_output(out_path: str | None, *parts: str | bytes) -> None:
+    """Write the parts, text or bytes, in order to ``out_path`` or else to
+    stdout, each in full: with ``PYTHONUNBUFFERED=1`` stdout's binary layer
+    is the raw file, whose ``write`` may take only part of a payload. Text
+    is encoded a part at a time, as UTF-8 or in stdout's encoding."""
     try:
-        if out_path:
-            with open(out_path, "wb" if binary else "w") as f:
-                f.write(payload)
-        else:
+        if not out_path:
             sys.stdout.flush()
-            out = sys.stdout.buffer
-            data = memoryview(payload if binary
-                              else payload.encode(sys.stdout.encoding))
-            while data:
-                data = data[out.write(data) or 0:]
+        encoding = "utf-8" if out_path else sys.stdout.encoding
+        with (open(out_path, "wb") if out_path
+              else contextlib.nullcontext(sys.stdout.buffer)) as out:
+            for part in parts:
+                data = memoryview(part.encode(encoding)
+                                  if isinstance(part, str) else part)
+                while data:
+                    data = data[out.write(data) or 0:]
             out.flush()
     except OSError as e:
         if not out_path:
@@ -73,7 +72,7 @@ def cmd_coarsen(args) -> int:
     g = _load_graph(args.graph)
     h = coarsen.build_hierarchy(g, args.algo, args.levels,
                                 ratio=args.ratio, seed=args.seed)
-    _write_output(coarsen.hierarchy_to_json(h) + "\n", args.output)
+    _write_output(args.output, coarsen.hierarchy_to_json(h), "\n")
     for k, lvl in enumerate(h.levels):
         ratio = "" if k == 0 else f" ratio={h.coarsening_ratios[k - 1]:.4f}"
         print(f"level {k}: {lvl.num_nodes} nodes, {lvl.num_edges} edges{ratio}",
@@ -92,10 +91,10 @@ def cmd_encode(args) -> int:
          if args.base_level else distance.hdse(h, clip=args.clip))
     entries, clip = t.entries, t.clip
     if args.format == "json":
-        _write_output(distance.tensor_to_json(entries, clip) + "\n", args.output)
+        _write_output(args.output, *distance.tensor_json_parts(entries, clip),
+                      "\n")
     else:
-        _write_output(distance.write_tensor(entries, clip), args.output,
-                      binary=True)
+        _write_output(args.output, distance.write_tensor(entries, clip))
     print(f"tensor dims {entries.shape[0]} x {entries.shape[1]} "
           f"x {entries.shape[2]}, clip {clip}", file=sys.stderr)
     return EXIT_OK
@@ -127,7 +126,7 @@ def cmd_gdwl(args) -> int:
         "histogram_g1": sorted(cm1.histogram().values(), reverse=True),
         "histogram_g2": sorted(cm2.histogram().values(), reverse=True),
     }
-    _write_output(json.dumps(verdict, sort_keys=True) + "\n", args.output)
+    _write_output(args.output, json.dumps(verdict, sort_keys=True), "\n")
     if stable is not None:
         print(f"distinguished under {stable}/3 coarsening seeds",
               file=sys.stderr)
@@ -138,7 +137,7 @@ def cmd_demo(args) -> int:
     seeds = range(args.seed, args.seed + args.seeds)
     results, means = demo.run_all_encodings(
         seeds, demo.DemoConfig(epochs=args.epochs, lr=args.lr))
-    _write_output(demo.metrics_to_csv(results, means), args.output)
+    _write_output(args.output, demo.metrics_to_csv(results, means))
     for enc, runs in results.items():
         for r in runs:
             print(f"{enc:<5} seed={r.seed} train={r.train_accuracy:.3f} "
@@ -152,7 +151,7 @@ def cmd_demo(args) -> int:
 
 def cmd_named_graph(args) -> int:
     g = refine.make_named_graph(args.name)
-    _write_output(graph.write_edge_list(g), args.output)
+    _write_output(args.output, graph.write_edge_list(g))
     return EXIT_OK
 
 

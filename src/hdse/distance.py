@@ -91,12 +91,12 @@ def spd_all_pairs(g: Graph, clip: int | None = None) -> np.ndarray:
     The graph is undirected, so the unreached bits of source s at node v
     count directly as row v, column s of the symmetric result.
 
-    Disconnected pairs are marked last, unless node 0 is reached from
-    every source, which leaves none. If the search ran out of frontier,
-    they are the pairs still unreached. If it stopped at the clip instead,
-    an unreached pair may only lie far apart, so they are the pairs whose
-    component labels (``_component_labels``) differ, marked a block of
-    rows at a time so that the comparison mask stays near 1 MiB.
+    Disconnected pairs are marked last, as the pairs whose component
+    labels (``_component_labels``) differ, a block of rows at a time so
+    that the comparison mask stays near 1 MiB; there are none when node 0
+    is reached from every source. Labels decide, not the unreached bits,
+    because a search stopped at the clip leaves far-apart pairs unreached
+    too.
 
     Working memory besides the output: n x n/8-byte bitsets (``reached``,
     ``frontier`` and a few per-hop temporaries), the gathered neighbour
@@ -117,21 +117,16 @@ def spd_all_pairs(g: Graph, clip: int | None = None) -> np.ndarray:
     frontier = reached.copy()
     has_nbrs = np.diff(g.indptr) > 0
     starts = g.indptr[:-1][has_nbrs]
-    capped = True
     for _ in range(hops):
         nxt = np.zeros_like(frontier)
         nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts,
                                                axis=0)
         frontier = nxt & ~reached
         if not frontier.any():
-            capped = False
             break
         out += _unpack(~reached, n)
         reached |= frontier
     if _unpack(reached[:1], n).all():
-        return out
-    if not capped:
-        out[_unpack(~reached, n).view(bool)] = fill
         return out
     labels = _component_labels(g)
     block = max(1, 2 ** 20 // n)
@@ -314,7 +309,8 @@ def write_tensor(entries: np.ndarray, clip: int) -> bytes:
                                    f"got {entries.dtype}")
     _check_codes(entries, clip)
     header = _HEADER.pack(_MAGIC, 1, rows, cols, levels, clip)
-    return header + np.ascontiguousarray(entries).tobytes()
+    # join copies the array's buffer once; tobytes would copy it first
+    return b"".join((header, np.ascontiguousarray(entries)))
 
 
 def read_tensor(data: bytes) -> tuple[np.ndarray, int]:
@@ -333,12 +329,16 @@ def read_tensor(data: bytes) -> tuple[np.ndarray, int]:
     return payload.reshape(rows, cols, levels).copy(), clip
 
 
-def tensor_to_json(entries: np.ndarray, clip: int) -> str:
-    """Compact JSON of {"clip", "entries", "shape"}, keys sorted.
+def tensor_json_parts(entries: np.ndarray, clip: int):
+    """``tensor_to_json``'s text as a head, one part per row and a tail:
+    one row's nested lists exist at a time, and a writer needs no join."""
+    yield f'{{"clip":{clip},"entries":['
+    for i, row in enumerate(entries):
+        yield ("," if i else "") + json.dumps(row.tolist(),
+                                              separators=(",", ":"))
+    yield f'],"shape":[{",".join(map(str, entries.shape))}]}}'
 
-    Built one row at a time, so only one row's nested lists exist at once.
-    """
-    rows = ",".join(json.dumps(row.tolist(), separators=(",", ":"))
-                    for row in entries)
-    shape = ",".join(map(str, entries.shape))
-    return f'{{"clip":{clip},"entries":[{rows}],"shape":[{shape}]}}'
+
+def tensor_to_json(entries: np.ndarray, clip: int) -> str:
+    """Compact JSON of {"clip", "entries", "shape"}, keys sorted."""
+    return "".join(tensor_json_parts(entries, clip))

@@ -850,6 +850,38 @@ def unbuffered_step(layer, x, codes, x_ctx, d_out):
     return out, grads
 
 
+def fused_projection_oracle(x, params):
+    """Q, K and V of self-attention as the kernel once projected them: one
+    (B·n, d) @ (d, 3·heads·head_dim) GEMM against the three weight tensors
+    laid side by side, split into (B, heads, n, head_dim) heads."""
+    b, n, d = x.shape
+    w = np.concatenate([wt.transpose(1, 0, 2).reshape(d, -1)
+                        for wt in (params.w_q, params.w_k, params.w_v)],
+                       axis=1)
+    y = x.reshape(b * n, d) @ w
+    return y.reshape(b, n, 3, params.heads, params.head_dim).transpose(
+        2, 0, 3, 1, 4)
+
+
+class TestProjection:
+    """Self-attention projects Q from ``x`` and K, V from the context, as
+    the linear variant does; its Q, K and V stay bitwise equal to the fused
+    projection."""
+
+    @pytest.mark.parametrize("b, n, d, heads, head_dim", [
+        (20, 30, 32, 4, 8), (1, 500, 32, 4, 8), (3, 7, 5, 2, 3)],
+        ids=["demo batch", "infer graph", "odd shape"])
+    def test_self_attention_equals_the_fused_projection(self, b, n, d, heads,
+                                                        head_dim):
+        rng = np.random.default_rng(50)
+        params = init_attention_params(d, heads, head_dim, rng)
+        x = rng.standard_normal((b, n, d))
+        for ws in (None, {}):
+            _, cache = _attention(x, params, None, None, ws)
+            for key, want in zip("qkv", fused_projection_oracle(x, params)):
+                assert np.array_equal(cache[key], want), key
+
+
 class TestWorkspace:
     """The layer's workspace: buffers reused while the input shape stays,
     dropped when it changes, and results bitwise equal to the kernels run
@@ -897,6 +929,17 @@ class TestWorkspace:
                       else codes[..., :5, :5, :], x_ctx=ctx)
         assert not np.shares_memory(first, layer._cache[0]["attn"])
 
+    @pytest.mark.parametrize("linear", [False, True])
+    def test_both_variants_hold_the_same_five_buffers(self, linear):
+        rng = np.random.default_rng(44)
+        layer = self.make_layer(rng)
+        x, ctx, codes, d_out = self.inputs(rng, 3, linear)
+        layer.forward(x, codes, x_ctx=ctx)
+        layer.backward(d_out)
+        assert sorted(layer._ws) == ["d_k", "d_q", "dlt", "lt", "proj"]
+        m = len(ctx[0]) if linear else len(x[0])
+        assert layer._ws["proj"].size == 3 * (len(x[0]) + 2 * m) * 6
+
     @pytest.mark.parametrize("with_codes", [True, False])
     def test_shape_change_frees_buffers_before_allocating(self, monkeypatch,
                                                           with_codes):
@@ -908,7 +951,7 @@ class TestWorkspace:
         layer.forward(x, codes)
         layer.backward(d_out)
         old = [weakref.ref(buf) for buf in layer._ws.values()]
-        assert len(old) == 5  # qkv, lt, dlt, d_q, d_k
+        assert len(old) == 5  # proj, lt, dlt, d_q, d_k
         alive = []
 
         def spy(fn):

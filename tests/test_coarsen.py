@@ -1,9 +1,12 @@
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import fields, replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -20,7 +23,7 @@ from hdse.coarsen import (Hierarchy, Partition, _brandes, _quotient,
 from hdse.distance import spd_all_pairs
 from hdse.graph import (GraphParseError, GraphValidationError,
                         NodePermutation, make_graph)
-from hdse.refine import (desargues_graph, dodecahedron_graph,
+from hdse.refine import (barbell_graph, desargues_graph, dodecahedron_graph,
                          generalized_petersen)
 
 
@@ -1069,6 +1072,46 @@ class TestGirvanNewman:
         bet = betweenness_oracle(5, adj)
         for e, b in bet.items():
             assert b == pytest.approx(4.0)  # 1 + 3 paths through the spoke
+
+
+# girvan_newman on each graph sent on stdin as [n, edges]; prints the
+# partitions' assign arrays as JSON
+GN_CHILD = """
+import json, sys
+from hdse.coarsen import girvan_newman
+from hdse.graph import make_graph
+print(json.dumps([girvan_newman(make_graph(n, e)).assign.tolist()
+                  for n, e in json.load(sys.stdin)]))
+"""
+
+
+def test_girvan_newman_partitions_do_not_depend_on_blas_threads():
+    # _brandes sums betweenness through BLAS products, whose rounding may
+    # change with the thread count; the partition must not. Products past
+    # about 64^3 multiply-adds run threaded, so the larger graphs have
+    # two threads at work under OPENBLAS_NUM_THREADS=2
+    rng = np.random.default_rng(0)
+    graphs = [dodecahedron_graph(), desargues_graph(),
+              generalized_petersen(5, 2), generalized_petersen(30, 7),
+              barbell_graph(5), ring_of_cliques(8, 4),
+              ring_of_cliques(20, 4)]
+    for n, m in ((40, 80), (70, 280), (120, 240), (150, 300)):
+        e = rng.integers(0, n, size=(m, 2))
+        graphs.append(make_graph(n, e[e[:, 0] != e[:, 1]]))
+    payload = json.dumps([[g.num_nodes, g.edge_array().tolist()]
+                          for g in graphs])
+    src = Path(__file__).resolve().parents[1] / "src"
+    results = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(src), env.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", GN_CHILD], input=payload,
+                             env=env, capture_output=True, text=True,
+                             timeout=120, check=True)
+        results.append(json.loads(run.stdout))
+    assert len(results[0]) == len(graphs)
+    assert results[0] == results[1]
 
 
 class TestHeavyEdgeMatching:

@@ -721,6 +721,21 @@ class TestTensorFile:
         assert back.dtype == entries.dtype and back.shape == entries.shape
         assert back.tobytes() == entries.tobytes()
 
+    def test_write_copies_the_payload_once(self):
+        # the returned bytes are the one copy; header + tobytes() made two
+        entries = np.random.default_rng(0).integers(0, 32, (1000, 1000, 3),
+                                                    dtype=np.uint8)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            blob = write_tensor(entries, 30)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert type(blob) is bytes
+        assert blob[distance._HEADER.size:] == entries.tobytes()
+        assert peak <= 1.01 * entries.size
+
     @pytest.mark.parametrize("shape", [(0, 0, 1), (0, 5, 3), (3, 0, 2),
                                        (7, 4, 3), (2, 3, 300)])
     def test_json_is_the_bytes_of_json_dumps(self, shape):
