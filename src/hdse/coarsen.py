@@ -13,12 +13,14 @@ A hierarchy is its input graph and its maps; each coarse level is derived as
 the quotient of the level below and nothing else: it has no features and no
 labels, and features reach it only through ``Hierarchy.projected_features``.
 Girvan-Newman reads its distances from the forward sweep of its own dense
-Brandes pass, one per edge removal on the component that lost the edge, and
-relabels the components only when a removal splits one. The pass counts hops
-by adding up a 0/1 float mask of the pairs not reached yet and masks every
-level by multiplying with 0/1 arrays, never by boolean-indexed writes. With
-no target it stops once a sum of per-component modularity bounds shows that
-no later partition, each a refinement of the current components, can win.
+Brandes pass, one per edge removal on the component that lost the edge. It
+keeps one component label per node, not the distances, and relabels a
+component only when a removal splits it. The pass counts hops by adding up
+a 0/1 float mask of the pairs not reached yet, accumulates (1 + delta) /
+sigma level by level, and masks every level by multiplying with 0/1
+arrays, never by boolean-indexed writes. With no target it stops once a
+sum of per-component modularity bounds shows that no later partition, each
+a refinement of the current components, can win.
 Inputs past ``MAX_PAIRS`` or ``MAX_GN_WORK`` are refused before allocating.
 """
 
@@ -201,12 +203,17 @@ def _brandes(a: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sweep multiplies each level's path counts by ``unseen`` (1 at the pairs
     not reached yet) and counts hops by adding ``unseen`` up; it stops once
     a level reaches nothing new or every pair is reached, and takes the
-    pairs still unseen to -1. The backward sweep divides 1 + delta by sigma
-    over the whole block, with 1 in place of sigma at unreached pairs so
-    that every quotient is finite, and keeps one hop level by multiplying
-    with that level's mask, written into one of two reused buffers. A
-    finite value times 0 or 1 is 0 or itself, so the results are bit for
-    bit those of boolean masking.
+    pairs still unseen to -1. The backward sweep keeps ``w`` itself, not
+    delta: it starts as 1/sigma on the deepest level and 0 elsewhere, and
+    each level k - 1 gets (1 + (w @ a) * sigma) / sigma from level k, with 1
+    in place of sigma at unreached pairs so that every quotient is finite.
+    Multiplying and adding that level's 0/1 mask keeps the rest of the
+    block at 0, so ``w += r`` writes one level. ``w @ a`` also holds the
+    deeper levels, but no node of level k - 1 neighbours them: each output
+    sums the same nonzero products in the same order, plus exact zeros.
+    Level 0 is never swept, as the edge gather never reads it. A finite
+    value times 0 or 1 is 0 or itself, so the results are bit for bit
+    those of boolean masking.
 
     Path counts overflow float64 only from about 1,900 nodes with hundreds
     of levels, far past ``MAX_GN_WORK``; there inf * 0 makes the betweenness
@@ -232,27 +239,35 @@ def _brandes(a: np.ndarray, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     hops -= np.multiply(unseen, k + 1, out=unseen)
     d = hops.astype(np.int32)
     safe = np.maximum(sigma, 1.0, out=unseen)
-    delta, q, r = np.zeros((n, n)), np.empty((n, n)), np.empty((n, n))
-    on, below = hops, np.empty((n, n))
-    np.equal(d, k, out=below, casting="unsafe")
-    for k in range(k, 0, -1):
-        on, below = below, on
+    # w holds (1 + delta) / sigma at the levels swept so far and 0 elsewhere;
+    # the deepest level has delta 0
+    w = np.equal(d, k, out=hops, casting="unsafe")
+    w /= safe
+    r, below = np.empty((n, n)), np.empty((n, n))
+    for k in range(k, 1, -1):
         np.equal(d, k - 1, out=below, casting="unsafe")
-        np.add(delta, 1.0, out=q)
-        q /= safe
-        q *= on
-        np.matmul(q, a, out=r)
+        np.matmul(w, a, out=r)
         r *= sigma
         r *= below
-        delta += r
-    w = delta
-    w += 1.0
-    w /= safe
-    del unseen, hops, safe, q, r, on, below  # freed before the n x m gathers
+        r += below
+        r /= safe
+        w += r
+    del unseen, safe, r, below  # freed before the n x m gathers
     u, v = edges.T
-    du, dv = d[:, u], d[:, v]
-    return d, ((dv == du + 1) * sigma[:, u] * w[:, v]
-               + (du == dv + 1) * sigma[:, v] * w[:, u]).sum(axis=0) / 2.0
+    diff = d[:, v] - d[:, u]
+    x = sigma[:, u] * w[:, v]
+    x *= diff == 1
+    y = sigma[:, v] * w[:, u]
+    y *= diff == -1
+    x += y
+    return d, x.sum(axis=0) / 2.0
+
+
+def _smallest_reached(d: np.ndarray) -> np.ndarray:
+    """Each row's smallest column at distance >= 0 in ``d``, the smallest
+    node of its component: equal labels mean one component."""
+    n = len(d)
+    return np.where(d >= 0, np.arange(n), n).min(axis=1, initial=n)
 
 
 def girvan_newman(g: Graph, target: int | None = None) -> Partition:
@@ -263,9 +278,12 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     iteration, ties broken by smallest edge id, and the betweenness is
     recomputed after every removal; removing whole tie groups at once would
     erase every edge of a vertex-transitive graph in one step and never
-    produce a nontrivial split. Only the component that lost the edge is
-    re-solved, by one ``_brandes`` pass on its block of one dense adjacency,
-    and the partition is rescored only if the edge's ends fall apart.
+    produce a nontrivial split. Each node carries the label of the
+    smallest node it reaches. Only the component that lost the edge, the
+    nodes sharing its ends' label, is re-solved, by one ``_brandes`` pass on
+    its block of one dense adjacency; its labels are rewritten and the
+    partition rescored only if the edge's ends fall apart. ``target`` must
+    lie in 1..n.
 
     With ``target=None`` the loop stops once no later partition can win.
     Each refines the current components. Say it splits component C, with
@@ -282,6 +300,8 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     allocating.
     """
     n, m = g.num_nodes, max(g.num_edges, 1)  # an edgeless graph scores 0
+    if target is not None and target < 1:
+        raise GraphValidationError(f"target must be >= 1, got {target}")
     if target is not None and target > n:
         raise GraphValidationError(f"target {target} exceeds {n} nodes")
     check_pairs("girvan_newman", n * max(n, m))  # n x m edge gathers too
@@ -291,11 +311,11 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
     a = np.zeros((n, n))
     a[edges[:, 0], edges[:, 1]] = a[edges[:, 1], edges[:, 0]] = 1.0
     d, bet = _brandes(a, edges)
+    lab = _smallest_reached(d)
+    del d
     best, best_q = None, -np.inf
     while True:
-        # each node is labeled by the smallest node it reaches
-        part = Partition.from_assignment(
-            np.where(d >= 0, np.arange(n), n).min(axis=1, initial=n))
+        part = Partition.from_assignment(lab)
         if target is not None:  # target <= n: n singletons always return
             if part.num_clusters >= target:
                 return part
@@ -323,12 +343,15 @@ def girvan_newman(g: Graph, target: int | None = None) -> Partition:
             x, y = edges[drop]
             a[x, y] = a[y, x] = 0.0
             bet[drop] = -np.inf
-            comp = d[x] >= 0  # the component losing the edge
+            comp = lab == lab[x]  # the component losing the edge
             idx = np.flatnonzero(comp)
+            pos = np.cumsum(comp) - 1  # node -> its row in the block
             mine = (bet != -np.inf) & comp[edges[:, 0]]  # its edges left
-            d[idx[:, None], idx], bet[mine] = _brandes(
-                a[idx[:, None], idx], (np.cumsum(comp) - 1)[edges[mine]])
-            split = d[x, y] < 0
+            d, bet[mine] = _brandes(a.take(idx, 0).take(idx, 1),
+                                    pos[edges[mine]])
+            split = d[pos[x], pos[y]] < 0
+            if split:  # idx ascends, so the smallest row is the smallest node
+                lab[idx] = idx[_smallest_reached(d)]
 
 
 # ---------------------------------------------------------------------------

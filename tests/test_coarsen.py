@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from collections import deque
 from dataclasses import fields, replace
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -921,11 +922,12 @@ class TestBrandesAgainstMaskedOracle:
         assert_same_as_masked_brandes(make())
 
     def test_peak_per_pair_on_a_long_ring(self):
-        # the backward sweep holds d and seven n x n float arrays (60 B per
-        # pair), and on a ring the final gathers reach about as much;
+        # the backward sweep holds d and five n x n float arrays (44 B per
+        # pair); on a ring, m = n, the peak is the edge gather: d, sigma,
+        # w, x and y's two operand gathers and y (56 B per pair).
         # masked_brandes_oracle peaks at 80 B per pair here. The peak per
-        # pair does not depend on the ring's length: 60.12 B at n = 400,
-        # 60.03 B at n = 1000, which takes 20 times as long
+        # pair does not depend on the ring's length: 56.01 B at n = 400,
+        # 56.08 B at n = 200
         n = 400
         g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
         a = dense_adjacency(g)
@@ -935,9 +937,120 @@ class TestBrandesAgainstMaskedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 61 * n * n
+        assert peak <= 57 * n * n
         assert d.max() == n // 2
         np.testing.assert_array_equal(bet, np.full(n, (n // 2) ** 2 / 2))
+
+
+def gnm_graph(n, m, seed):
+    """m distinct edges on n nodes, drawn uniformly by a seeded generator."""
+    u, v = np.triu_indices(n, 1)
+    pick = np.random.default_rng(seed).choice(len(u), m, replace=False)
+    return make_graph(n, np.column_stack([u[pick], v[pick]]))
+
+
+def exact_betweenness_oracle(adj, sources):
+    """Edge betweenness in exact rationals, by one Brandes BFS per node of
+    ``sources`` (whole components): integer path counts, ``Fraction``
+    dependencies. Each pair counts from both of its ends, hence the
+    halving."""
+    bet = {}
+    for s in sources:
+        sigma, dist, preds, order = {s: 1}, {s: 0}, {s: []}, [s]
+        for v in order:  # grows while it is scanned: a BFS queue
+            for u in adj[v]:
+                if u not in dist:
+                    sigma[u], dist[u], preds[u] = 0, dist[v] + 1, []
+                    order.append(u)
+                if dist[u] == dist[v] + 1:
+                    sigma[u] += sigma[v]
+                    preds[u].append(v)
+        delta = dict.fromkeys(order, Fraction(0))
+        for v in reversed(order):
+            for u in preds[v]:
+                c = Fraction(sigma[u], sigma[v]) * (1 + delta[v])
+                key = (u, v) if u < v else (v, u)
+                bet[key] = bet.get(key, 0) + c
+                delta[u] += c
+    return {e: b / 2 for e, b in bet.items()}
+
+
+def exact_tie_walk(g):
+    """Walk Girvan-Newman's full removal sequence as ``girvan_newman`` does,
+    one ``coarsen._brandes`` pass on the block of the component that lost
+    the edge, and check every removal against exact rationals:
+
+    (a) each float betweenness is within 1e-12 of the exact one, relative;
+    (b) the edges passing the tie test ``bet >= bet.max() * (1 - 1e-9)``
+        are exactly those at the exact maximum.
+    """
+    n, edges = g.num_nodes, g.edge_array()
+    keys = [tuple(e) for e in edges.tolist()]
+    adj = [set(map(int, g.neighbors(v))) for v in range(n)]
+    a = dense_adjacency(g)
+    bet = coarsen._brandes(a, edges)[1]
+    exact = exact_betweenness_oracle(adj, range(n))
+    alive = np.ones(len(edges), dtype=bool)
+    while alive.any():
+        want = [exact[k] for k, on in zip(keys, alive) if on]
+        np.testing.assert_allclose(bet[alive], [float(w) for w in want],
+                                   rtol=1e-12, atol=0)
+        tied = bet >= bet.max() * (1.0 - 1e-9)
+        top = max(want)
+        assert tied[alive].tolist() == [w == top for w in want]
+        drop = np.argmax(tied)
+        x, y = keys[drop]
+        labels = components_oracle(n, adj)
+        comp = labels == labels[x]
+        adj[x].discard(y)
+        adj[y].discard(x)
+        a[x, y] = a[y, x] = 0.0
+        alive[drop], bet[drop] = False, -np.inf
+        idx = np.flatnonzero(comp)
+        mine = alive & comp[edges[:, 0]]
+        bet[mine] = coarsen._brandes(a[np.ix_(idx, idx)],
+                                     (np.cumsum(comp) - 1)[edges[mine]])[1]
+        exact.update(exact_betweenness_oracle(adj, idx.tolist()))
+
+
+def brandes_inputs(fn, g, *args):
+    """The (adjacency, edges) bytes of every ``_brandes`` pass of
+    ``fn(g, *args)``."""
+    calls = []
+
+    def recording(a, edges):
+        calls.append((a.tobytes(), edges.tobytes()))
+        return _brandes(a, edges)
+
+    with mock.patch.object(coarsen, "_brandes", recording):
+        fn(g, *args)
+    return calls
+
+
+class TestTieRuleAgainstExactBetweenness:
+    """Girvan-Newman promises its partition, not its betweenness bytes: the
+    float passes may round differently under another BLAS, but ties found
+    with the 1e-9 slack are the exact ties, at every removal."""
+
+    @pytest.mark.parametrize("make", [
+        dodecahedron_graph, desargues_graph,
+        lambda: generalized_petersen(5, 2),
+        lambda: generalized_petersen(30, 7),
+        lambda: barbell_graph(5),
+        lambda: ring_of_cliques(8, 4),
+        lambda: gnm_graph(16, 32, seed=1),
+        lambda: gnm_graph(24, 40, seed=2),
+        lambda: gnm_graph(30, 90, seed=3),
+    ], ids=["dodecahedron", "desargues", "GP(5,2)", "GP(30,7)", "barbell(5)",
+            "ring_of_cliques(8,4)", "random(16,32)", "random(24,40)",
+            "random(30,90)"])
+    def test_full_removal_sequence(self, make):
+        g = make()
+        walked = brandes_inputs(exact_tie_walk, g)
+        # the walk is girvan_newman's own removal sequence: to reach n
+        # singletons it removes every edge
+        assert walked == brandes_inputs(girvan_newman, g, g.num_nodes)
+        assert len(walked) == g.num_edges + 1
 
 
 def quotient_oracle(edges, weights, assign, c):
@@ -1016,6 +1129,22 @@ class TestGirvanNewman:
     def test_target_too_large(self):
         with pytest.raises(GraphValidationError):
             girvan_newman(make_graph(3, [(0, 1)]), target=4)
+
+    @pytest.mark.parametrize("target", [0, -3])
+    def test_target_below_one_refused_before_allocating(self, monkeypatch,
+                                                        target):
+        # it once returned the components partition, one cluster here
+        g = dodecahedron_graph()
+        monkeypatch.setattr(coarsen, "_brandes", None)
+        tracemalloc.start()
+        try:
+            with pytest.raises(GraphValidationError,
+                               match=f"target must be >= 1, got {target}"):
+                girvan_newman(g, target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g.num_nodes ** 2 * 8
 
     def test_modularity_peak_beats_trivial(self):
         g = two_cliques_bridge(4)
