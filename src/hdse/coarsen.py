@@ -49,7 +49,10 @@ class Partition:
         object.__setattr__(self, "assign", a)
         if len(a) and (a.min() < 0 or a.max() >= self.num_clusters):
             raise GraphValidationError("cluster index out of range")
-        if len(np.unique(a)) != self.num_clusters:
+        # a negative count, or more clusters than nodes, leaves one unhit;
+        # bincount would refuse the first and over-allocate for the second
+        if not (0 <= self.num_clusters <= len(a)
+                and np.bincount(a, minlength=self.num_clusters).all()):
             raise GraphValidationError("partition not surjective")
 
     @staticmethod

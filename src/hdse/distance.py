@@ -18,7 +18,6 @@ fold, ``fold_rows``, and one dense rank, ``rank_ids``.
 
 from __future__ import annotations
 
-import json
 import math
 import struct
 from dataclasses import dataclass
@@ -80,16 +79,20 @@ def spd_all_pairs(g: Graph, clip: int | None = None) -> np.ndarray:
     Computed by a bit-packed multi-source BFS. ``reached[v]`` and
     ``frontier[v]`` are bitsets over sources, packed into ``ceil(n / 64)``
     uint64 words: bit s of ``frontier[v]`` is set when v lies at the current
-    hop distance from s. One hop ORs the frontier rows of each node's
-    neighbours (``reduceat`` over CSR segments, restricted to nodes of
-    nonzero degree because ``reduceat`` returns the element at an empty
-    segment's start instead of an identity); bits not yet reached are the
-    nodes at the next distance. Hops are counted rather than written: each
-    hop that reaches a new pair adds 1 to every pair not reached before it,
-    so a pair gains 1 per hop until it is reached and ends at its distance,
-    or at ``clip`` if it is still unreached when the hops stop there.
-    The graph is undirected, so the unreached bits of source s at node v
-    count directly as row v, column s of the symmetric result.
+    hop distance from s. One hop gathers the frontier rows of each node's
+    neighbours (``take``) and ORs them with one ``reduceat`` over the CSR
+    segments. ``reduceat`` returns the element at an empty segment's start
+    instead of an identity, so ``frontier`` has one more row, n, that stays
+    zero, and an isolated node's segment is that row alone. Bits not yet
+    reached are the nodes at the next distance. Hops are counted rather than
+    written: each hop that reaches a new pair adds 1 to every pair not
+    reached before it, so a pair gains 1 per hop until it is reached and
+    ends at its distance, or at ``clip`` if it is still unreached when the
+    hops stop there. The count is uint8 (a clip stops it by hop 254);
+    without a clip it widens to int32 only if the search passes 255 hops,
+    and is cast to int32 once, after the last hop. The graph is undirected,
+    so the unreached bits of source s at node v count directly as row v,
+    column s of the symmetric result.
 
     Disconnected pairs are marked last, as the pairs whose component
     labels (``_component_labels``) differ, a block of rows at a time so
@@ -99,10 +102,12 @@ def spd_all_pairs(g: Graph, clip: int | None = None) -> np.ndarray:
     too.
 
     Working memory besides the output: n x n/8-byte bitsets (``reached``,
-    ``frontier`` and a few per-hop temporaries), the gathered neighbour
-    frontiers (2m x n/8 bytes for m edges) and one unpacked n x n uint8
-    array per hop. Past ``MAX_PAIRS`` pairs it raises MemoryError before
-    allocating.
+    ``unreached``, and ``frontier`` and the next frontier, each with its
+    zero row, all allocated once), the gathered neighbour frontiers (2m x
+    n/8 bytes for m edges, one row more per isolated node) and one unpacked
+    n x n uint8 array per hop. Without a clip the uint8 count lives beside
+    the int32 result while it is cast. Past ``MAX_PAIRS`` pairs it raises
+    MemoryError before allocating.
     """
     n = g.num_nodes
     if clip is not None:
@@ -110,22 +115,31 @@ def spd_all_pairs(g: Graph, clip: int | None = None) -> np.ndarray:
     check_pairs("spd_all_pairs", n * n)
     hops, dtype, fill = ((n - 1, np.int32, UNREACHABLE) if clip is None
                          else (min(clip, n - 1), np.uint8, clip + 1))
-    out = np.zeros((n, n), dtype=dtype)
+    nbrs, starts = g.indices, g.indptr[:-1]
+    isolated = np.diff(g.indptr) == 0
+    if isolated.any():  # each isolated node's segment is the zero row n
+        nbrs = np.insert(nbrs, starts[isolated], n)
+        starts = starts + np.cumsum(isolated) - isolated
+    out = np.zeros((n, n), dtype=np.uint8)
     src = np.arange(n)
     reached = np.zeros((n, (n + 63) // 64), dtype=np.uint64)
     reached[src, src >> 6] = 1 << (src & 63).astype(np.uint64)
-    frontier = reached.copy()
-    has_nbrs = np.diff(g.indptr) > 0
-    starts = g.indptr[:-1][has_nbrs]
-    for _ in range(hops):
-        nxt = np.zeros_like(frontier)
-        nxt[has_nbrs] = np.bitwise_or.reduceat(frontier[g.indices], starts,
-                                               axis=0)
-        frontier = nxt & ~reached
-        if not frontier.any():
+    frontier = np.zeros((n + 1, reached.shape[1]), dtype=np.uint64)
+    frontier[:n] = reached
+    nxt, unreached = np.zeros_like(frontier), np.empty_like(reached)
+    for hop in range(hops):
+        np.bitwise_or.reduceat(frontier.take(nbrs, 0), starts, axis=0,
+                               out=nxt[:n])
+        np.invert(reached, out=unreached)
+        nxt[:n] &= unreached
+        if not nxt.any():
             break
-        out += _unpack(~reached, n)
-        reached |= frontier
+        if hop == 255:  # the next count would pass uint8
+            out = out.astype(dtype)
+        out += _unpack(unreached, n)
+        reached |= nxt[:n]
+        frontier, nxt = nxt, frontier
+    out = out.astype(dtype, copy=False)
     if _unpack(reached[:1], n).all():
         return out
     labels = _component_labels(g)
@@ -255,7 +269,7 @@ def _codes(h: Hierarchy, base: int, clip: int) -> HdseTensor:
         if m:
             assign = h.maps[level - 1].assign
             rows, cols = assign[rows], assign[cols]
-        codes = spd_all_pairs(h.levels[level], clip)[rows]
+        codes = spd_all_pairs(h.levels[level], clip).take(rows, 0)
         entries[:, :, m] = codes[:, cols] if m else codes
     return HdseTensor(entries, clip)
 
@@ -329,13 +343,71 @@ def read_tensor(data: bytes) -> tuple[np.ndarray, int]:
     return payload.reshape(rows, cols, levels).copy(), clip
 
 
+# "000" .. "255" as ASCII digits, and each byte value's decimal width
+_DIGITS = np.frombuffer(b"".join(b"%03d" % v for v in range(256)),
+                        dtype=np.uint8).reshape(256, 3)
+_WIDTH = np.array([len(str(v)) for v in range(256)], dtype=np.int32)
+# values formatted per block of rows: the block's int32 work arrays stay
+# small beside the text, which a writer holds whole
+_JSON_BLOCK = 2 ** 12
+
+
+def _json_rows(entries: np.ndarray):
+    """Each (cols, levels) row of a uint8 tensor as compact JSON text,
+    every row but the first led by a comma.
+
+    A block of rows is written into one byte buffer. Each value takes its
+    digits, one separator after them (',' or the ']' closing its column)
+    and the brackets and commas before it that no value owns: '[[' before
+    the tensor's first value, ',[[' before a block's first, '],[[' before
+    a row's first and ',[' before a column's first. A ``cumsum`` of those
+    widths gives each separator's offset; one scatter per digit position
+    writes the digits, and brackets overwrite the buffer's ',' fill.
+    """
+    rows, cols, levels = entries.shape
+    if not cols * levels:  # no values: every row is the same text
+        text = "[" + ",".join(["[]"] * cols) + "]"
+        yield from (("," if i else "") + text for i in range(rows))
+        return
+    per = max(1, _JSON_BLOCK // (cols * levels))
+    lead = np.zeros((per, cols, levels), dtype=np.int32)
+    lead[:, :, 0] = 2
+    lead[:, 0, 0] = 4
+    for r0 in range(0, rows, per):
+        v = entries[r0:r0 + per].reshape(-1)
+        b = len(v) // (cols * levels)
+        lead[0, 0, 0] = 3 if r0 else 2
+        width = _WIDTH[v]
+        sep = width + lead[:b].reshape(-1)
+        sep += 1
+        np.cumsum(sep, out=sep)
+        sep -= 1
+        buf = np.full(sep[-1] + 2, ord(","), dtype=np.uint8)
+        for j in range(3):  # ones, tens, hundreds
+            at = width > j
+            buf[sep[at] - 1 - j] = _DIGITS[v[at], 2 - j]
+        sep = sep.reshape(b, cols, levels)
+        first = sep[:, :, 0] - width.reshape(b, cols, levels)[:, :, 0]
+        buf[first - 1] = ord("[")  # columns
+        buf[first[:, 0] - 2] = ord("[")  # rows
+        buf[sep[:, :, -1]] = ord("]")
+        buf[sep[:, -1, -1] + 1] = ord("]")
+        text = buf.tobytes().decode("ascii")
+        starts = (first[:, 0] - 3).tolist()  # each ',' between rows
+        starts[0] = 0
+        for s, e in zip(starts, starts[1:] + [len(text)]):
+            yield text[s:e]
+
+
 def tensor_json_parts(entries: np.ndarray, clip: int):
     """``tensor_to_json``'s text as a head, one part per row and a tail:
-    one row's nested lists exist at a time, and a writer needs no join."""
+    one block of rows is formatted at a time, and a writer needs no join.
+    Entries of another dtype than uint8 raise GraphValidationError."""
+    if entries.dtype != np.uint8:
+        raise GraphValidationError(f"tensor entries must be uint8, "
+                                   f"got {entries.dtype}")
     yield f'{{"clip":{clip},"entries":['
-    for i, row in enumerate(entries):
-        yield ("," if i else "") + json.dumps(row.tolist(),
-                                              separators=(",", ":"))
+    yield from _json_rows(entries)
     yield f'],"shape":[{",".join(map(str, entries.shape))}]}}'
 
 

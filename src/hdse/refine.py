@@ -75,7 +75,8 @@ class ColorMap:
 
     def append(self, colors: np.ndarray) -> None:
         self.colors.append(colors)
-        self.history.append(len(np.unique(colors)))
+        # colors are dense non-negative ids: count them without a sort
+        self.history.append(int(np.count_nonzero(np.bincount(colors))))
 
     def histogram(self) -> Counter:
         return Counter(self.final.tolist())

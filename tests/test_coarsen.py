@@ -96,6 +96,23 @@ class TestFromAssignment:
         assert part.num_clusters == count
 
 
+@pytest.mark.parametrize("assign, count, error", [
+    ([], -1, "partition not surjective"),
+    ([0, 2], 3, "partition not surjective"),
+    ([0, 0], 1, None),
+    ([], 0, None),
+    ([0, 1], 5, "partition not surjective"),
+    ([0, -1], 2, "cluster index out of range"),
+    ([0, 1], -1, "cluster index out of range"),
+])
+def test_partition_checks_range_then_surjectivity(assign, count, error):
+    if error is None:
+        assert Partition(assign, count).num_clusters == count
+    else:
+        with pytest.raises(GraphValidationError, match=error):
+            Partition(assign, count)
+
+
 class TestLouvain:
     def test_two_cliques_recovered(self):
         g = two_cliques_bridge(4)

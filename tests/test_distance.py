@@ -193,6 +193,35 @@ class TestHopCountingKernel:
         assert_same_as_mask_writing(make_graph(n, edges))
 
 
+class TestHopCountWidening:
+    """Hops are counted in uint8 and widened to int32 once the search
+    passes 255 hops; isolated nodes read the all-zero sentinel row."""
+
+    @pytest.mark.parametrize("n", [255, 256, 257, 258])
+    def test_paths_around_255_hops(self, n):
+        g = make_graph(n, path_edges(n))
+        i = np.arange(n)
+        assert_same_bytes(spd_all_pairs(g),
+                          np.abs(i[:, None] - i).astype(np.int32))
+        assert_same_as_mask_writing(g)
+
+    def test_cycle_of_600(self):
+        g = cycle_graph(600)
+        i = np.arange(600)
+        gap = np.abs(i[:, None] - i)
+        assert_same_bytes(spd_all_pairs(g),
+                          np.minimum(gap, 600 - gap).astype(np.int32))
+        assert_same_as_mask_writing(g)
+
+    @pytest.mark.parametrize("n", [64, 65])
+    @pytest.mark.parametrize("isolated", ["first", "last"])
+    def test_isolated_end_node(self, n, isolated):
+        shift = isolated == "first"
+        edges = [(u + shift, v + shift) for u, v in path_edges(n - 1)]
+        edges += [(1 + shift, n - 2 + shift)]  # a chord: not only a path
+        assert_same_as_mask_writing(make_graph(n, edges))
+
+
 def clipped(d, clip):
     """The former ``_level_codes`` after its search: int32 distances
     clipped, unreachable pairs marked ``clip + 1``, then cast to uint8."""
@@ -737,13 +766,31 @@ class TestTensorFile:
         assert peak <= 1.01 * entries.size
 
     @pytest.mark.parametrize("shape", [(0, 0, 1), (0, 5, 3), (3, 0, 2),
-                                       (7, 4, 3), (2, 3, 300)])
+                                       (7, 4, 3), (2, 3, 300), (2, 3, 0)])
     def test_json_is_the_bytes_of_json_dumps(self, shape):
         entries = np.random.default_rng(0).integers(0, 32, shape,
                                                     dtype=np.uint8)
         obj = {"shape": list(shape), "clip": 30, "entries": entries.tolist()}
         assert tensor_to_json(entries, 30) == json.dumps(
             obj, sort_keys=True, separators=(",", ":"))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (9000, 1, 2), (5, 4000, 1),
+                                       (3, 2, 20000), (40, 30, 3)])
+    def test_json_rows_every_byte_value_and_block(self, shape):
+        # one, two and three digits, and shapes whose rows fill several
+        # formatting blocks, one block or more than one block each
+        entries = np.random.default_rng(1).integers(0, 256, shape,
+                                                    dtype=np.uint8)
+        entries.reshape(-1)[:256] = np.arange(min(256, entries.size))
+        parts = list(distance.tensor_json_parts(entries, 254))
+        assert len(parts) == shape[0] + 2
+        for i, row in enumerate(entries):
+            assert parts[i + 1] == ("," if i else "") + json.dumps(
+                row.tolist(), separators=(",", ":"))
+
+    def test_json_refuses_other_dtypes(self):
+        with pytest.raises(GraphValidationError, match="must be uint8"):
+            tensor_to_json(np.zeros((2, 2, 1), dtype=np.int32), 30)
 
     def test_header_magic_checked(self):
         with pytest.raises(GraphValidationError):
